@@ -1,12 +1,14 @@
-"""Training-throughput baseline: dict vs array Q-table backends.
+"""Training-throughput baseline: reference oracle vs the trainer.
 
-Trains the largest error types of a fixed-seed scenario under both
-Q-table backends and reports wall-clock, episodes/sec and sweeps/sec
-for each, plus their speedup.  The two backends are bit-identical by
-contract (same RNG draw sequence, Q values and convergence sweeps), so
-the benchmark first asserts exact equality of every training outcome
-and only then reports throughput — a speedup measured against diverging
-results would be meaningless.
+Trains the largest error types of a fixed-seed scenario twice — with
+the frozen session-driven course over a dict Q table kept in
+``tests/oracles/qlearning_reference.py`` (reported under ``"dict"``) and
+with ``QLearningTrainer`` (reported under ``"array"``) — and reports
+wall-clock, episodes/sec and sweeps/sec for each, plus their speedup.
+The two are bit-identical by contract (same RNG draw sequence, Q values
+and convergence sweeps), so the benchmark first asserts exact equality
+of every training outcome and only then reports throughput — a speedup
+measured against diverging results would be meaningless.
 
 Standalone by design (CI runs it outside pytest)::
 
@@ -34,18 +36,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scenario import build_scenario, default_scenario
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-from repro.learning.qtable_array import QTABLE_BACKENDS
 from repro.simplatform.platform import SimulationPlatform
 from repro.tracegen.workload import small_config
 from repro.util.tables import render_table
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.qlearning_reference import ReferenceTrainer  # noqa: E402
+
 BENCH_NAME = "training_throughput"
+
+#: Artifact key -> trainer class: the reference oracle and the trainer.
+#: The keys predate the oracle's move into the tests and are kept so
+#: committed artifacts stay comparable.
+TRAINERS = {"dict": ReferenceTrainer, "array": QLearningTrainer}
 
 #: Profile -> (scenario kind, error types trained, sweep cap, min speedup).
 #: The smoke profile exists for CI: it must finish in seconds and makes
 #: no speedup promise (shared runners time-slice too coarsely); the full
-#: profile is the committed baseline and asserts the array backend's
-#: >= 3x episodes/sec advantage.
+#: profile is the committed baseline and asserts the trainer's >= 3x
+#: episodes/sec advantage over the reference oracle.
 PROFILES = {
     "smoke": {
         "top_types": 2, "max_sweeps": 25, "repeats": 1, "min_speedup": 0.0,
@@ -105,27 +114,26 @@ def _snapshot(result) -> Tuple:
     )
 
 
-def _run_backend(
-    backend: str,
+def _run_trainer(
+    name: str,
     scenario,
     groups: Sequence[Tuple[str, Tuple]],
     max_sweeps: int,
     repeats: int,
 ) -> Tuple[Dict[str, object], List[Tuple]]:
-    """Train all groups under one backend on a fresh platform.
+    """Train all groups with one trainer on a fresh platform.
 
-    A fresh platform per *repeat* charges the array path's one-time
-    replay compilation to the array measurement, so the comparison is
-    end to end, not inner-loop-only.  Training is deterministic, so
-    repeats produce identical results and only the minimum wall-clock
-    (the least scheduler-perturbed run) is reported.
+    A fresh platform per *repeat* charges the trainer's one-time replay
+    compilation to its measurement, so the comparison is end to end,
+    not inner-loop-only.  Training is deterministic, so repeats produce
+    identical results and only the minimum wall-clock (the least
+    scheduler-perturbed run) is reported.
     """
     elapsed = float("inf")
     for _repeat in range(repeats):
         platform = SimulationPlatform(scenario.clean, scenario.catalog)
-        trainer = QLearningTrainer(
-            platform,
-            QLearningConfig(max_sweeps=max_sweeps, seed=11, backend=backend),
+        trainer = TRAINERS[name](
+            platform, QLearningConfig(max_sweeps=max_sweeps, seed=11)
         )
         snapshots: List[Tuple] = []
         episodes = 0
@@ -150,7 +158,7 @@ def _run_backend(
 
 
 def run(profile: str) -> Dict[str, object]:
-    """Measure both backends and return the metrics payload."""
+    """Measure both trainers and return the metrics payload."""
     spec = PROFILES[profile]
     if profile == "smoke":
         scenario = build_scenario(small_config(seed=13, fault_count=40))
@@ -160,12 +168,11 @@ def run(profile: str) -> Dict[str, object]:
 
     per_backend: Dict[str, Dict[str, object]] = {}
     per_backend_snapshots: Dict[str, List[Tuple]] = {}
-    # Reference (dict) first, then the fast path, so a regression that
-    # crashes the array backend still prints the baseline numbers.
-    for backend in ("dict", "array"):
-        assert backend in QTABLE_BACKENDS
-        per_backend[backend], per_backend_snapshots[backend] = _run_backend(
-            backend, scenario, groups, spec["max_sweeps"], spec["repeats"]
+    # Reference first, then the trainer, so a regression that crashes
+    # the trainer still prints the baseline numbers.
+    for name in TRAINERS:
+        per_backend[name], per_backend_snapshots[name] = _run_trainer(
+            name, scenario, groups, spec["max_sweeps"], spec["repeats"]
         )
 
     bit_identical = (
@@ -197,11 +204,9 @@ def check_payload(payload: Dict[str, object]) -> List[str]:
     if not isinstance(metrics, dict):
         return problems + ["metrics must be an object"]
     backends = metrics.get("backends")
-    if not isinstance(backends, dict) or set(backends) != set(
-        QTABLE_BACKENDS
-    ):
+    if not isinstance(backends, dict) or set(backends) != set(TRAINERS):
         problems.append(
-            f"metrics.backends must have exactly {sorted(QTABLE_BACKENDS)}"
+            f"metrics.backends must have exactly {sorted(TRAINERS)}"
         )
     else:
         for name, stats in backends.items():
@@ -235,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="fail unless array/dict episodes-per-sec reaches this "
+        help="fail unless trainer/reference episodes-per-sec reaches this "
         "(default: the profile's own floor)",
     )
     parser.add_argument(
@@ -280,7 +285,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ]
     print()
     print(render_table(
-        ["backend", "wall-clock (s)", "episodes", "episodes/s", "sweeps/s"],
+        ["trainer", "wall-clock (s)", "episodes", "episodes/s", "sweeps/s"],
         rows,
         title=f"Training throughput ({args.profile} profile, "
               f"{metrics['training_processes']:,} processes, "
@@ -289,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"speedup (episodes/s): {metrics['speedup_episodes_per_s']}x")
 
     if not metrics["bit_identical"]:
-        print("FAIL: backends diverged — results are not bit-identical",
+        print("FAIL: trainer diverged from the reference oracle",
               file=sys.stderr)
         return 1
     floor = (

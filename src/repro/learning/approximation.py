@@ -27,7 +27,7 @@ from repro.learning.exploration import BoltzmannExplorer, TemperatureSchedule
 from repro.mdp.state import RecoveryState
 from repro.recoverylog.process import RecoveryProcess
 from repro.simplatform.platform import SimulationPlatform
-from repro.util.rng import make_rng
+from repro.util.rng import derive_seed, make_rng
 
 __all__ = [
     "LinearQFunction",
@@ -240,15 +240,23 @@ class ApproximateQLearningTrainer:
         error_type: str,
         processes: Sequence[RecoveryProcess],
     ) -> ApproximateTrainingResult:
-        """Run the approximate training course for one error type."""
+        """Run the approximate training course for one error type.
+
+        The type draws from its own child generator derived from
+        ``(config.seed, error_type)``, so its course does not depend on
+        which types trained before it.
+        """
         if not processes:
             raise TrainingError(
                 f"no training processes for error type {error_type!r}"
             )
-        rng = make_rng(self.config.seed)
+        rng = make_rng(
+            None
+            if self.config.seed is None
+            else derive_seed(self.config.seed, error_type)
+        )
         explorer = BoltzmannExplorer(self.config.temperature, rng=rng)
         qfunction = self._make_qfunction()
-        catalog = self.platform.catalog
         batch = min(self.config.episodes_per_sweep, len(processes))
         episodes = 0
         for sweep in range(self.config.sweeps):
@@ -258,12 +266,10 @@ class ApproximateQLearningTrainer:
                 state = RecoveryState.initial(error_type)
                 trajectory = []
                 while not state.is_terminal:
-                    if (
+                    action_name = self.platform.forced_action(
                         state.attempt_count
-                        >= self.platform.max_actions - 1
-                    ):
-                        action_name = catalog.strongest.name
-                    else:
+                    )
+                    if action_name is None:
                         action_name = explorer.select(
                             qfunction.values_for(state), sweep
                         )

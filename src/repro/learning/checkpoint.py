@@ -109,12 +109,6 @@ class CheckpointStore:
     alpha_floor:
         Learning-rate floor to restore Q tables with (a training-time
         knob not stored in the table payload).
-    backend:
-        Q-table backend (``"array"`` or ``"dict"``) to restore tables
-        onto.  The payload is backend-agnostic and the backends are
-        bit-identical, so the fingerprint deliberately excludes this
-        knob — a checkpoint written under one backend resumes cleanly
-        under the other.
     """
 
     def __init__(
@@ -123,12 +117,10 @@ class CheckpointStore:
         *,
         fingerprint: str = "",
         alpha_floor: float = 0.0,
-        backend: str = "array",
     ) -> None:
         self._directory = Path(directory)
         self._fingerprint = fingerprint
         self._alpha_floor = alpha_floor
-        self._backend = backend
 
     @property
     def directory(self) -> Path:
@@ -212,9 +204,7 @@ class CheckpointStore:
         try:
             training_meta = payload["training"]
             qtable = qtable_from_payload(
-                payload["qtable"],
-                alpha_floor=self._alpha_floor,
-                backend=self._backend,
+                payload["qtable"], alpha_floor=self._alpha_floor
             )
             rules: RuleTable = {}
             for record in payload["rules"]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.mdp.state import RecoveryState
 from repro.recoverylog.entry import LogEntry
 from repro.recoverylog.log import RecoveryLog
 from repro.recoverylog.process import RecoveryProcess
@@ -101,3 +102,29 @@ def ladder_processes(
             )
             index += 1
     return processes
+
+
+def trainer_episode(trainer, qtable, explorer, process, sweep=0, *, warm=False):
+    """Run one ``QLearningTrainer`` episode and return its transitions.
+
+    ``process`` must belong to the trainer platform's ensemble.  The id
+    trajectory the episode loop returns is mapped back to
+    ``(state, action, cost, next_state)`` tuples.
+    """
+    platform = trainer.platform
+    compiled = platform.compiled()
+    index = qtable.index
+    sids, aids, costs, next_sids = trainer._run_episode(
+        qtable,
+        explorer,
+        compiled,
+        platform.process_index(process),
+        index.intern(RecoveryState.initial(process.error_type)),
+        compiled.actions.index(platform.forced_action_name),
+        sweep,
+        warm=warm,
+    )
+    return [
+        (index.state(sid), compiled.actions[aid], cost, index.state(next_sid))
+        for sid, aid, cost, next_sid in zip(sids, aids, costs, next_sids)
+    ]

@@ -1,19 +1,19 @@
-"""Dict/array Q-table backend equivalence.
+"""Product Q-learning vs the frozen reference oracle.
 
-The array backend (:class:`~repro.learning.qtable_array.ArrayQTable`)
-is a pure performance transformation of the reference dict backend: the
-contract is *bit-identical* behaviour — same Q values, visit counts,
+:class:`repro.learning.qtable.QTable` and the id-indexed episode loop
+are a pure performance transformation of the dict-of-dict table and the
+session-driven course kept in ``tests/oracles/qlearning_reference.py``:
+the contract is *bit-identical* behaviour — same Q values, visit counts,
 greedy policy, RNG draw sequence and convergence sweeps.  This module
 enforces the contract at three levels:
 
-* hypothesis property tests drive both backends through random
+* hypothesis property tests drive both tables through random
   update/restore/query sequences and compare every observable after
   every operation;
-* end-to-end ``train_type`` courses under both backends (and both
-  exploration strategies) must produce identical tables and metadata;
-* the parallel engine and checkpoint/resume must behave identically
-  across backends — including a checkpoint written under one backend
-  resuming under the other, in both directions.
+* end-to-end ``train_type`` courses (both exploration strategies) must
+  produce identical tables and metadata;
+* the parallel engine's selection-tree course must produce the same
+  outcome as the same course driven by the reference trainer.
 """
 
 import dataclasses
@@ -23,18 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ladder_processes
+from oracles import qlearning_reference
 from repro.actions import default_catalog
 from repro.core import PipelineConfig, RecoveryPolicyLearner
-from repro.errors import ConfigurationError
 from repro.learning.parallel import ParallelTrainingEngine
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-from repro.learning.qtable import QTable, QTableBackend
-from repro.learning.qtable_array import (
-    QTABLE_BACKENDS,
-    ArrayQTable,
-    create_qtable,
+from repro.learning.qtable import QTable
+from repro.learning.selection_tree import (
+    SelectionTreeConfig,
+    SelectionTreeExtractor,
 )
-from repro.learning.selection_tree import SelectionTreeConfig
 from repro.mdp.state import RecoveryState
 from repro.simplatform.platform import SimulationPlatform
 
@@ -79,8 +77,8 @@ _ops = st.lists(
 )
 
 
-def observables(table: QTableBackend):
-    """Everything the protocol exposes, as one comparable structure."""
+def observables(table):
+    """Everything a Q table exposes, as one comparable structure."""
     return {
         "len": len(table),
         "states": list(table.states()),
@@ -116,8 +114,8 @@ class TestPropertyEquivalence:
     @given(ops=_ops, alpha_floor=st.sampled_from([0.0, 0.08, 0.5]))
     @settings(max_examples=120, deadline=None)
     def test_random_operation_sequences_match(self, ops, alpha_floor):
-        reference = QTable(ACTIONS, alpha_floor=alpha_floor)
-        fast = ArrayQTable(ACTIONS, alpha_floor=alpha_floor)
+        reference = qlearning_reference.QTable(ACTIONS, alpha_floor=alpha_floor)
+        fast = QTable(ACTIONS, alpha_floor=alpha_floor)
         for op in ops:
             if op[0] == "update":
                 _, si, ai, target = op
@@ -140,8 +138,8 @@ class TestPropertyEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_policy_change_flag_between_sequences(self, ops):
         """The convergence flag agrees when checked only at the end."""
-        reference = QTable(ACTIONS)
-        fast = ArrayQTable(ACTIONS)
+        reference = qlearning_reference.QTable(ACTIONS)
+        fast = QTable(ACTIONS)
         assert (
             reference.greedy_policy_changed() == fast.greedy_policy_changed()
         )
@@ -162,23 +160,6 @@ class TestPropertyEquivalence:
         assert fast.greedy_policy_changed() is False
 
 
-class TestFactory:
-    def test_backends_registry(self):
-        assert set(QTABLE_BACKENDS) == {"array", "dict"}
-        assert isinstance(create_qtable(ACTIONS, backend="dict"), QTable)
-        assert isinstance(create_qtable(ACTIONS, backend="array"), ArrayQTable)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            create_qtable(ACTIONS, backend="sparse")
-        with pytest.raises(ConfigurationError, match="backend"):
-            QLearningConfig(backend="sparse")
-
-    def test_both_satisfy_protocol(self):
-        assert isinstance(QTable(ACTIONS), QTableBackend)
-        assert isinstance(ArrayQTable(ACTIONS), QTableBackend)
-
-
 def _ladder_groups():
     hard = ladder_processes(
         "error:Hard",
@@ -195,17 +176,16 @@ def _ladder_groups():
     return {"error:Hard": hard, "error:Soft": soft}
 
 
-def _train(backend: str, exploration: str = "boltzmann"):
+def _train(trainer_class, exploration: str = "boltzmann"):
     groups = _ladder_groups()
     ensemble = [p for ps in groups.values() for p in ps]
     platform = SimulationPlatform(ensemble, CATALOG)
-    trainer = QLearningTrainer(
+    trainer = trainer_class(
         platform,
         QLearningConfig(
             max_sweeps=60,
             episodes_per_sweep=8,
             seed=5,
-            backend=backend,
             exploration=exploration,
         ),
     )
@@ -215,7 +195,7 @@ def _train(backend: str, exploration: str = "boltzmann"):
     }
 
 
-def _result_snapshot(result, include_order=True):
+def _result_snapshot(result):
     table = result.qtable
     return (
         result.sweeps_run,
@@ -230,143 +210,65 @@ def _result_snapshot(result, include_order=True):
             for state in table.states()
             for action in table.action_names
         },
-        # First-visit iteration order; meaningful only when both courses
-        # trained live (a JSON round-trip legitimately re-sorts states).
-        list(table.states()) if include_order else None,
+        # First-visit iteration order.
+        list(table.states()),
     )
 
 
 class TestEndToEndBitIdentical:
     @pytest.mark.parametrize("exploration", ["boltzmann", "epsilon"])
     def test_train_type_identical_across_backends(self, exploration):
-        by_dict = _train("dict", exploration)
-        by_array = _train("array", exploration)
-        assert by_dict.keys() == by_array.keys()
-        for error_type in by_dict:
-            assert _result_snapshot(by_dict[error_type]) == _result_snapshot(
-                by_array[error_type]
-            ), f"backends diverged on {error_type} ({exploration})"
-
-    def test_array_backend_is_default(self):
-        assert QLearningConfig().backend == "array"
-        result = _train("array")["error:Soft"]
-        assert isinstance(result.qtable, ArrayQTable)
+        by_oracle = _train(qlearning_reference.ReferenceTrainer, exploration)
+        by_trainer = _train(QLearningTrainer, exploration)
+        assert by_oracle.keys() == by_trainer.keys()
+        for error_type in by_oracle:
+            assert _result_snapshot(by_oracle[error_type]) == _result_snapshot(
+                by_trainer[error_type]
+            ), f"trainer diverged from the oracle on {error_type} ({exploration})"
 
 
 class TestParallelEngineBackends:
     def test_engine_outcomes_identical_across_backends(self):
         groups = _ladder_groups()
         ensemble = [p for ps in groups.values() for p in ps]
-        snapshots = {}
-        for backend in QTABLE_BACKENDS:
-            engine = ParallelTrainingEngine(
-                ensemble,
-                CATALOG,
-                qlearning=QLearningConfig(
-                    max_sweeps=40, episodes_per_sweep=8, seed=3,
-                    backend=backend,
-                ),
-                tree=SelectionTreeConfig(min_sweeps=10, check_interval=5),
-                n_workers=1,
+        qlearning = QLearningConfig(max_sweeps=40, episodes_per_sweep=8, seed=3)
+        tree = SelectionTreeConfig(min_sweeps=10, check_interval=5)
+        engine = ParallelTrainingEngine(
+            ensemble, CATALOG, qlearning=qlearning, tree=tree, n_workers=1
+        )
+        platform = SimulationPlatform(ensemble, CATALOG)
+        extractor = SelectionTreeExtractor(platform, tree)
+        oracle = qlearning_reference.ReferenceTrainer(platform, qlearning)
+        for error_type, outcome in engine.train(groups).items():
+            reference = extractor.train_type(
+                oracle, error_type, groups[error_type]
             )
-            outcomes = engine.train(groups)
-            snapshots[backend] = {
-                error_type: (
-                    _result_snapshot(outcome.training),
-                    outcome.rules,
-                    outcome.expected_cost,
-                )
-                for error_type, outcome in outcomes.items()
-            }
-        assert snapshots["dict"] == snapshots["array"]
+            assert (
+                _result_snapshot(outcome.training),
+                outcome.rules,
+                outcome.expected_cost,
+            ) == (
+                _result_snapshot(reference.training),
+                reference.rules,
+                reference.expected_cost,
+            ), error_type
 
 
 class TestCheckpointCrossBackend:
-    """A checkpoint written under one backend resumes under the other."""
-
-    def _config(self, backend, checkpoint_dir, resume):
-        return PipelineConfig(
-            top_k_types=3,
-            qlearning=QLearningConfig(
-                max_sweeps=40, episodes_per_sweep=8, seed=3, backend=backend
-            ),
-            tree=SelectionTreeConfig(min_sweeps=10, check_interval=5),
-            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-            resume=resume,
-        )
-
-    def _fit(self, processes, backend, checkpoint_dir=None, resume=False):
-        return RecoveryPolicyLearner(
-            config=self._config(backend, checkpoint_dir, resume)
-        ).fit(processes)
-
-    def _learner_snapshot(self, learner):
-        assert learner.training_result_ is not None
-        return (
-            {
-                error_type: _result_snapshot(result, include_order=False)
-                for error_type, result in (
-                    learner.training_result_.per_type.items()
-                )
-            },
-            learner.rules_,
-        )
-
-    @pytest.mark.parametrize(
-        "write_backend,resume_backend",
-        [("dict", "array"), ("array", "dict")],
-    )
-    def test_resume_across_backends(
-        self, tmp_path, small_processes, write_backend, resume_backend
-    ):
-        checkpoint_dir = tmp_path / "ckpt"
-        written = self._fit(
-            small_processes, write_backend, checkpoint_dir, resume=False
-        )
-        resumed = self._fit(
-            small_processes, resume_backend, checkpoint_dir, resume=True
-        )
-        # Every type must come from the checkpoint: the fingerprint
-        # deliberately ignores the backend knob.
-        assert resumed.outcomes_ is not None
-        assert all(
-            outcome.from_checkpoint
-            for outcome in resumed.outcomes_.values()
-        )
-        # And the resumed run is bit-identical to a fresh run under the
-        # resuming backend (which equals the writing run by the
-        # end-to-end equivalence above).
-        fresh = self._fit(small_processes, resume_backend)
-        assert self._learner_snapshot(resumed) == self._learner_snapshot(
-            fresh
-        )
-        assert self._learner_snapshot(resumed) == self._learner_snapshot(
-            written
-        )
-
-    def test_backend_change_keeps_fingerprint(self, tmp_path):
-        """Only the backend differs -> the same checkpoint fingerprint."""
-        learners = {
-            backend: RecoveryPolicyLearner(
-                config=self._config(backend, tmp_path, resume=False)
-            )
-            for backend in QTABLE_BACKENDS
-        }
-        stores = {
-            backend: learner._make_checkpoint_store()
-            for backend, learner in learners.items()
-        }
-        assert stores["dict"].fingerprint == stores["array"].fingerprint
+    """The checkpoint fingerprint tracks every knob that shapes a course."""
 
     def test_other_knobs_still_invalidate(self, tmp_path):
-        base = RecoveryPolicyLearner(
-            config=self._config("array", tmp_path, resume=False)
+        config = PipelineConfig(
+            top_k_types=3,
+            qlearning=QLearningConfig(
+                max_sweeps=40, episodes_per_sweep=8, seed=3
+            ),
+            tree=SelectionTreeConfig(min_sweeps=10, check_interval=5),
+            checkpoint_dir=str(tmp_path),
         )
+        base = RecoveryPolicyLearner(config=config)
         changed = RecoveryPolicyLearner(
-            config=dataclasses.replace(
-                self._config("array", tmp_path, resume=False),
-                max_actions=7,
-            )
+            config=dataclasses.replace(config, max_actions=7)
         )
         assert (
             base._make_checkpoint_store().fingerprint

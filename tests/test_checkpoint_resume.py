@@ -29,6 +29,7 @@ from test_learning_parallel import (
     outcome_snapshot,
     qtable_snapshot,
 )
+from test_policies_serialization import MALFORMED_QTABLE_PAYLOADS
 
 CATALOG = default_catalog()
 QL = QLearningConfig(max_sweeps=40, episodes_per_sweep=8, seed=3)
@@ -98,6 +99,23 @@ class TestCheckpointStore:
         engine_for(groups, store).train(groups)
         path = store.path_for("error:Hard")
         path.write_text(path.read_text()[: path.stat().st_size // 2])
+        assert store.load("error:Hard") is None
+
+    @pytest.mark.parametrize(
+        "case,edit,_named",
+        MALFORMED_QTABLE_PAYLOADS,
+        ids=[case for case, _edit, _named in MALFORMED_QTABLE_PAYLOADS],
+    )
+    def test_hand_edited_qtable_retrains_instead_of_crashing(
+        self, tmp_path, case, edit, _named
+    ):
+        groups = ladder_groups()
+        store = store_at(tmp_path)
+        engine_for(groups, store).train(groups)
+        path = store.path_for("error:Hard")
+        payload = json.loads(path.read_text())
+        edit(payload["qtable"])
+        path.write_text(json.dumps(payload))
         assert store.load("error:Hard") is None
 
     def test_tampered_error_type_raises(self, tmp_path):

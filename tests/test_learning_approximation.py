@@ -165,6 +165,34 @@ class TestApproximateTrainer:
         # The generalization selling point: constant parameter count.
         assert result.qfunction.dimension < 20
 
+    def test_course_independent_of_training_order(self, setup):
+        platform, hard, soft = setup
+        alone = ApproximateQLearningTrainer(platform).train_type(
+            "error:Hard", hard
+        )
+        trainer = ApproximateQLearningTrainer(platform)
+        trainer.train_type("error:Soft", soft)
+        after = trainer.train_type("error:Hard", hard)
+        assert after.rules == alone.rules
+        s0 = RecoveryState.initial("error:Hard")
+        assert after.qfunction.values_for(s0) == alone.qfunction.values_for(s0)
+
+    def test_types_draw_distinct_streams(self):
+        # The same ladder under two type names: one shared seed would
+        # replay identical courses; per-type seeds must not.
+        first = ladder_processes("error:A", [(["TRYNOP", "REBOOT"], 8)])
+        second = ladder_processes(
+            "error:B", [(["TRYNOP", "REBOOT"], 8)], machine_prefix="b"
+        )
+        platform = SimulationPlatform(first + second, CATALOG)
+        config = ApproximateTrainingConfig(sweeps=5, episodes_per_sweep=4)
+        trainer = ApproximateQLearningTrainer(platform, config)
+        a = trainer.train_type("error:A", first).qfunction
+        b = trainer.train_type("error:B", second).qfunction
+        s_a = RecoveryState.initial("error:A")
+        s_b = RecoveryState.initial("error:B")
+        assert a.values_for(s_a) != b.values_for(s_b)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):
             ApproximateTrainingConfig(sweeps=0)

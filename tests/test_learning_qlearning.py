@@ -1,13 +1,16 @@
 """Tests for the Q-learning trainer (Figure 2 algorithm)."""
 
+import dataclasses
+
 import pytest
 
-from helpers import ladder_processes
+from helpers import ladder_processes, make_process, trainer_episode
 from repro.actions import default_catalog
-from repro.errors import ConfigurationError, TrainingError
-from repro.learning.exploration import TemperatureSchedule
+from repro.errors import ConfigurationError, TrainingError, UnknownActionError
+from repro.learning.exploration import BoltzmannExplorer, TemperatureSchedule
 from repro.learning.qlearning import QLearningConfig, QLearningTrainer
 from repro.learning.qtable import QTable
+from repro.learning.telemetry import TelemetryRecorder
 from repro.mdp.state import RecoveryState
 from repro.simplatform.platform import SimulationPlatform
 
@@ -68,11 +71,8 @@ class TestEpisodes:
         processes = reimage_type_processes()
         trainer = trainer_for(processes)
         qtable = QTable(CATALOG.names())
-        from repro.learning.exploration import BoltzmannExplorer
-
-        explorer = BoltzmannExplorer(seed=0)
-        trajectory = trainer.run_episode(
-            qtable, explorer, processes[0], sweep=0
+        trajectory = trainer_episode(
+            trainer, qtable, BoltzmannExplorer(seed=0), processes[0]
         )
         assert trajectory
         assert trajectory[-1][3].is_terminal
@@ -89,10 +89,8 @@ class TestEpisodes:
             platform, QLearningConfig(max_sweeps=5, seed=0)
         )
         qtable = QTable(CATALOG.names())
-        from repro.learning.exploration import BoltzmannExplorer
-
-        trajectory = trainer.run_episode(
-            qtable, BoltzmannExplorer(seed=0), processes[0], sweep=0
+        trajectory = trainer_episode(
+            trainer, qtable, BoltzmannExplorer(seed=0), processes[0]
         )
         assert len(trajectory) <= 4
         assert trajectory[-1][3].is_terminal
@@ -101,7 +99,12 @@ class TestEpisodes:
         processes = reimage_type_processes()
         trainer = trainer_for(processes, warm_start_passes=1)
         qtable = QTable(CATALOG.names())
-        trainer.warm_start(qtable, processes)
+        for process in processes:
+            trajectory = trainer_episode(
+                trainer, qtable, None, process, warm=True
+            )
+            # A warm episode replays the logged actions, in log order.
+            assert [t[1] for t in trajectory] == list(process.actions)
         s0 = RecoveryState.initial("error:Hard")
         assert qtable.visit_count(s0, "TRYNOP") == len(processes)
         # The anchored value reflects actual ladder costs (finite, > 0).
@@ -169,6 +172,53 @@ class TestTrainType:
         trainer = trainer_for(processes)
         with pytest.raises(TrainingError):
             trainer.train_type("error:Other", processes)
+
+    def test_foreign_process_rejected_before_training(self):
+        processes = transient_type_processes()
+        trainer = trainer_for(processes)
+        foreign = make_process(
+            ["TRYNOP", "REBOOT"],
+            machine="m-foreign",
+            error_type="error:Soft",
+            start=9e6,
+        )
+        telemetry = TelemetryRecorder()
+        with pytest.raises(TrainingError, match="'m-foreign' starting at 9000000"):
+            trainer.train_type(
+                "error:Soft", processes + [foreign], telemetry=telemetry
+            )
+        assert telemetry.per_type == {}
+
+    @pytest.mark.parametrize("warm_start_passes", [0, 2])
+    def test_unknown_required_action_rejected(self, warm_start_passes):
+        unknown = make_process(
+            ["TRYNOP", "FROB"], machine="m-unknown", error_type="error:Soft"
+        )
+        processes = transient_type_processes() + [unknown]
+        trainer = trainer_for(processes, warm_start_passes=warm_start_passes)
+        with pytest.raises(UnknownActionError, match="'FROB'"):
+            trainer.train_type("error:Soft", processes)
+
+    def test_unknown_logged_action_rejected_when_warm_starting(self):
+        # Under the last-action-only rule the unknown action is logged
+        # but not required: only the warm start would replay it.
+        unknown = make_process(
+            ["FROB", "REBOOT"], machine="m-unknown", error_type="error:Soft"
+        )
+        processes = transient_type_processes() + [unknown]
+        platform = SimulationPlatform(
+            processes, CATALOG, last_action_only=True
+        )
+        config = QLearningConfig(max_sweeps=5, seed=1)
+        with pytest.raises(UnknownActionError, match="'FROB'"):
+            QLearningTrainer(platform, config).train_type(
+                "error:Soft", processes
+            )
+        cold = dataclasses.replace(config, warm_start_passes=0)
+        result = QLearningTrainer(platform, cold).train_type(
+            "error:Soft", processes
+        )
+        assert result.sweeps_run == 5
 
     def test_min_visits_forces_every_action(self):
         processes = transient_type_processes()

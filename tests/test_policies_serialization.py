@@ -20,6 +20,31 @@ S1 = S0.after("REIMAGE", False)
 ACTIONS = ["TRYNOP", "REBOOT", "REIMAGE", "RMA"]
 
 
+def _set_first_entry(key, value):
+    def edit(payload):
+        payload["entries"][0][key] = value
+
+    return edit
+
+
+def _clear_actions(payload):
+    payload["actions"] = []
+
+
+def _garble_initial_value(payload):
+    payload["initial_value"] = "zero"
+
+
+#: Hand edits of a saved Q-table payload that the table itself rejects,
+#: with the text the resulting ``LogFormatError`` must name.
+MALFORMED_QTABLE_PAYLOADS = [
+    ("unknown-entry-action", _set_first_entry("action", "FROB"), "'FROB'"),
+    ("empty-actions", _clear_actions, "actions"),
+    ("zero-visits", _set_first_entry("visits", 0), "'visits': 0"),
+    ("bad-initial-value", _garble_initial_value, "initial_value"),
+]
+
+
 @pytest.fixture
 def policy():
     return TrainedPolicy(
@@ -117,6 +142,25 @@ class TestQTableRoundTrip:
         path.write_text('{"format": "x", "actions": [], "entries": []}')
         with pytest.raises(LogFormatError, match="format"):
             load_qtable(path)
+
+    @pytest.mark.parametrize(
+        "case,edit,named",
+        MALFORMED_QTABLE_PAYLOADS,
+        ids=[case for case, _edit, _named in MALFORMED_QTABLE_PAYLOADS],
+    )
+    def test_malformed_payload_names_file_and_entry(
+        self, tmp_path, case, edit, named
+    ):
+        path = tmp_path / "qtable.json"
+        save_qtable(self._table(), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LogFormatError) as caught:
+            load_qtable(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ")
+        assert named in message
 
     def test_restore_rejects_zero_visits(self):
         from repro.errors import TrainingError

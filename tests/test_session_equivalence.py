@@ -16,7 +16,8 @@ import math
 
 import pytest
 
-from helpers import ladder_processes, make_process
+from helpers import ladder_processes, make_process, trainer_episode
+from oracles import qlearning_reference
 from repro.actions import default_catalog
 from repro.cluster.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.faults import FaultCatalog, FaultType
@@ -305,90 +306,91 @@ class TestEvaluationEquivalence:
 
 
 class TestTrainingEquivalence:
-    """run_episode (session-driven) == the frozen trainer loop."""
+    """The trainer's id-indexed episode loop == the frozen loops.
+
+    Two frozen references: ``reference_episode`` (the loop before the
+    session core) and the session-driven course in
+    ``tests/oracles/qlearning_reference.py``.
+    """
+
+    @staticmethod
+    def _training_processes(processes):
+        """Ensemble members of the ``error:Hard`` ladder type."""
+        training = [
+            p for p in processes
+            if p.error_type == "error:Hard" and len(p.actions) == 3
+        ][:4]
+        assert len(training) == 4
+        return training
+
+    @staticmethod
+    def _cells(table):
+        return {
+            (s, a): (table.value(s, a), table.visit_count(s, a))
+            for s in table.states()
+            for a in CATALOG.names()
+        }
 
     def test_episodes_bit_identical_with_same_rng(self):
-        platform, _processes = mixed_platform()
-        config = QLearningConfig(seed=5, backend="dict")
+        platform, processes = mixed_platform()
+        training = self._training_processes(processes)
+        config = QLearningConfig(seed=5)
         trainer = QLearningTrainer(platform, config)
-        training = ladder_processes(
-            "error:Hard",
-            [(["TRYNOP", "REBOOT", "REIMAGE"], 4)],
-            realistic_durations=True,
-        )
+        oracle = qlearning_reference.ReferenceTrainer(platform, config)
 
-        reference_table = QTable(
+        frozen_table = qlearning_reference.QTable(
             CATALOG.names(), alpha_floor=config.alpha_floor
         )
-        routed_table = QTable(
+        session_table = qlearning_reference.QTable(
             CATALOG.names(), alpha_floor=config.alpha_floor
         )
-        reference_explorer = trainer._make_explorer(make_rng(5))
-        routed_explorer = trainer._make_explorer(make_rng(5))
+        product_table = QTable(CATALOG.names(), alpha_floor=config.alpha_floor)
+        frozen_explorer = oracle.make_explorer(make_rng(5))
+        session_explorer = oracle.make_explorer(make_rng(5))
+        product_explorer = oracle.make_explorer(make_rng(5))
 
         for sweep in range(30):
             for process in training:
                 expected = reference_episode(
                     platform,
-                    reference_table,
-                    reference_explorer,
+                    frozen_table,
+                    frozen_explorer,
                     process,
                     sweep,
                     config,
                 )
-                # Reference applies its updates through the same helper.
-                trainer._apply_updates(reference_table, expected)
-                got = trainer.run_episode(
-                    routed_table, routed_explorer, process, sweep
-                )
-                assert got == expected
+                oracle.apply_updates(frozen_table, expected)
+                assert oracle.run_episode(
+                    session_table, session_explorer, process, sweep
+                ) == expected
+                assert trainer_episode(
+                    trainer, product_table, product_explorer, process, sweep
+                ) == expected
         # After 120 interleaved episodes every Q cell still matches
         # exactly, so the RNG streams never diverged.
-        assert {
-            (s, a): (
-                reference_table.value(s, a),
-                reference_table.visit_count(s, a),
-            )
-            for s in reference_table.states()
-            for a in CATALOG.names()
-        } == {
-            (s, a): (
-                routed_table.value(s, a),
-                routed_table.visit_count(s, a),
-            )
-            for s in routed_table.states()
-            for a in CATALOG.names()
-        }
+        assert self._cells(frozen_table) == self._cells(session_table)
+        assert self._cells(frozen_table) == self._cells(product_table)
 
     def test_episode_telemetry_does_not_change_results(self):
-        platform, _processes = mixed_platform()
-        training = ladder_processes(
-            "error:Hard",
-            [(["TRYNOP", "REBOOT", "REIMAGE"], 4)],
-            realistic_durations=True,
-        )
+        platform, processes = mixed_platform()
+        training = self._training_processes(processes)
         config = QLearningConfig(
             max_sweeps=25, episodes_per_sweep=4, seed=7
         )
 
         def snapshot(result):
-            table = result.qtable
             return (
                 result.sweeps_run,
                 result.converged,
                 result.episodes,
-                {
-                    (s, a): (table.value(s, a), table.visit_count(s, a))
-                    for s in table.states()
-                    for a in CATALOG.names()
-                },
+                self._cells(result.qtable),
             )
 
         plain = QLearningTrainer(platform, config).train_type(
             "error:Hard", training
         )
         recorder = EpisodeRecorder()
-        observed = QLearningTrainer(
+        observed = qlearning_reference.ReferenceTrainer(
             platform, config, episode_telemetry=recorder
         ).train_type("error:Hard", training)
         assert snapshot(observed) == snapshot(plain)

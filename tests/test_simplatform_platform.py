@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import ladder_processes, make_process
+from helpers import ladder_processes, make_process, trainer_episode
 from repro.actions import default_catalog
 from repro.errors import SimulationError
 from repro.mdp.state import RecoveryState
@@ -212,26 +212,34 @@ class TestForcedActionCap:
         assert platform.forced_action(len(result.actions) - 2) is None
 
     def test_trainer_episode_obeys_the_same_boundary(self):
+        from oracles import qlearning_reference
         from repro.learning.exploration import BoltzmannExplorer
         from repro.learning.qlearning import QLearningConfig, QLearningTrainer
-        from repro.learning.qtable_array import create_qtable
+        from repro.learning.qtable import QTable
 
         process = make_process(["RMA"])
         platform = platform_for([process], max_actions=3)
-        for backend in ("dict", "array"):
-            trainer = QLearningTrainer(
-                platform,
-                QLearningConfig(min_visits_per_action=5, backend=backend),
-            )
-            qtable = create_qtable(CATALOG.names(), backend=backend)
-            trajectory = trainer.run_episode(
-                qtable, BoltzmannExplorer(seed=0), process, sweep=0
-            )
-            # Forced exploration keeps proposing TRYNOP (fresh states,
-            # catalog-order tie break) until the cap forces the manual
-            # repair at attempt_count == max_actions - 1.
-            assert [t[1] for t in trajectory] == ["TRYNOP", "TRYNOP", "RMA"]
-            assert trajectory[-1][0].attempt_count == platform.max_actions - 1
+        config = QLearningConfig(min_visits_per_action=5)
+        trajectory = trainer_episode(
+            QLearningTrainer(platform, config),
+            QTable(CATALOG.names()),
+            BoltzmannExplorer(seed=0),
+            process,
+        )
+        # Forced exploration keeps proposing TRYNOP (fresh states,
+        # catalog-order tie break) until the cap forces the manual
+        # repair at attempt_count == max_actions - 1.
+        assert [t[1] for t in trajectory] == ["TRYNOP", "TRYNOP", "RMA"]
+        assert trajectory[-1][0].attempt_count == platform.max_actions - 1
+        # The session-driven reference course stops at the same step.
+        oracle = qlearning_reference.ReferenceTrainer(platform, config)
+        reference = oracle.run_episode(
+            qlearning_reference.QTable(CATALOG.names()),
+            BoltzmannExplorer(seed=0),
+            process,
+            sweep=0,
+        )
+        assert reference == trajectory
 
 
 class TestRequiredStrengthsCache:
