@@ -38,6 +38,12 @@ from repro.learning.selection_tree import (
     SelectionTreeConfig,
     SelectionTreeExtractor,
 )
+from repro.learning.telemetry import (
+    SweepStats,
+    TelemetryRecorder,
+    TrainingTelemetry,
+    TypeTelemetry,
+)
 
 __all__ = [
     "SweepStats",

@@ -192,6 +192,8 @@ class CheckpointStore:
                 payload = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
+        if not isinstance(payload, dict):
+            return None
         if payload.get("format") != _CHECKPOINT_FORMAT:
             return None
         if payload.get("fingerprint") != self._fingerprint:

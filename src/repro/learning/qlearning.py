@@ -308,27 +308,17 @@ class QLearningTrainer:
         least-visited action below ``min_visits_per_action``, else the
         explorer's draw over the state's Q row.  A *warm* episode takes
         the logged action at each depth instead and stops when the log
-        runs out.  Success is decided by the compiled cumulative rank
-        counts (equivalent to ``covers``); a step that matches the log
-        is charged its logged duration in actual-cost mode, otherwise
-        the type's average success or failure cost.
+        runs out.  Each step is :meth:`CompiledReplay.step`.
 
         Returns the id trajectory ``(sids, aids, costs, next_sids)``.
         """
         platform = self.platform
         index = qtable.index
         min_visits = self.config.min_visits_per_action
-        required_ge = compiled.required_ge[pidx]
         logged_aids = compiled.attempt_aids[pidx]
-        logged_succeeded = compiled.attempt_succeeded[pidx]
-        logged_durations = compiled.attempt_durations[pidx]
-        success_cost = compiled.success_cost[pidx]
-        failure_cost = compiled.failure_cost[pidx]
-        actual_mode = compiled.actual_mode
-        n_actions = compiled.n_actions
         n_logged = len(logged_aids)
 
-        executed = [0] * n_actions
+        executed = [0] * compiled.n_actions
         sids: List[int] = []
         aids: List[int] = []
         costs: List[float] = []
@@ -346,25 +336,7 @@ class QLearningTrainer:
                 aid = qtable.underexplored_by_id(sid, min_visits)
                 if aid < 0:
                     aid = explorer.select_index(qtable.q_row(sid), sweep)
-            executed[aid] += 1
-            running = 0
-            succeeded = True
-            for rank in range(n_actions - 1, -1, -1):
-                running += executed[rank]
-                if running < required_ge[rank]:
-                    succeeded = False
-                    break
-            matched = (
-                depth < n_logged
-                and logged_aids[depth] == aid
-                and logged_succeeded[depth] == succeeded
-            )
-            if matched and actual_mode:
-                cost = logged_durations[depth]
-            elif succeeded:
-                cost = success_cost[aid]
-            else:
-                cost = failure_cost[aid]
+            cost, succeeded = compiled.step(pidx, depth, aid, executed)
             next_sid = index.successor(sid, aid, succeeded)
             sids.append(sid)
             aids.append(aid)

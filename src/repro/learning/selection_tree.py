@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import (
+    ConfigurationError,
+    SimulationError,
+    TrainingError,
+    UnknownActionError,
+)
 from repro.learning.qlearning import (
     QLearningTrainer,
     TypeTrainingResult,
@@ -32,6 +37,9 @@ __all__ = ["SelectionTreeConfig", "SelectionTreeExtractor", "TreeTrainingOutcome
 
 Rule = Tuple[str, float]
 RuleTable = Dict[RecoveryState, Rule]
+#: A rule table's action ids along one type's failure chain, and the
+#: name of the out-of-catalog action that ends it, if any.
+Chain = Tuple[Tuple[int, ...], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -143,6 +151,9 @@ class SelectionTreeExtractor:
     ) -> None:
         self.platform = platform
         self.config = config if config is not None else SelectionTreeConfig()
+        # evaluate's memo: cost by failure chains, for the last sample.
+        self._memo_sample: Tuple[int, ...] = ()
+        self._memo: Dict[Tuple[Tuple[str, Tuple[int, ...]], ...], float] = {}
 
     # ------------------------------------------------------------------
     def candidate_rule_tables(
@@ -211,16 +222,90 @@ class SelectionTreeExtractor:
 
         Unhandled replays are charged their real downtime, a neutral
         substitution that neither rewards nor punishes rule gaps.
+        Replay runs on the platform's compiled view, so sampled
+        processes must belong to its ensemble.  The cost is memoized by
+        the per-type failure chains for the current sample.
         """
         if not processes:
             raise TrainingError("cannot evaluate a policy on no processes")
+        TrainedPolicy(rules, label="candidate")  # rejects malformed rules
         sample = self._evaluation_sample(processes)
-        policy = TrainedPolicy(rules, label="candidate")
-        total = 0.0
-        for process in sample:
-            result = self.platform.replay(process, policy)
-            total += result.cost if result.handled else result.real_cost
-        return total / len(sample)
+        try:
+            indices = tuple(map(self.platform.process_index, sample))
+        except SimulationError as exc:
+            raise TrainingError(str(exc)) from None
+        if indices != self._memo_sample:
+            self._memo_sample, self._memo = indices, {}
+        chains = {
+            error_type: self._failure_chain(rules, error_type)
+            for error_type in sorted({p.error_type for p in sample})
+        }
+        key = tuple((t, aids) for t, (aids, _unknown) in chains.items())
+        if key not in self._memo:
+            total = 0.0
+            for process, pidx in zip(sample, indices):
+                total += self._replay_cost(
+                    process, pidx, chains[process.error_type]
+                )
+            self._memo[key] = total / len(sample)
+        return self._memo[key]
+
+    def _failure_chain(self, rules: RuleTable, error_type: str) -> Chain:
+        """Action ids of ``rules`` along the type's failure chain.
+
+        These are the only rules a replay reads before the ``N``-cap
+        takes over.  A rule naming an action outside the catalog ends
+        the chain with id -1; its name is returned for the error.
+        """
+        actions = self.platform.compiled().actions
+        aids: List[int] = []
+        state = RecoveryState.initial(error_type)
+        while state in rules and len(aids) < self.platform.max_actions - 1:
+            name = rules[state][0]
+            if name not in actions:
+                return tuple(aids) + (-1,), name
+            aids.append(actions.index(name))
+            state = state.after(name, healthy=False)
+        return tuple(aids), None
+
+    def _replay_cost(
+        self, process: RecoveryProcess, pidx: int, chain: Chain
+    ) -> float:
+        """``platform.replay``'s cost for ``process`` under a chain.
+
+        Starts at ``platform.initial_cost`` and adds step costs in
+        order.  Self-healed and unhandled replays cost real downtime.
+        """
+        if not process.attempts:
+            return process.downtime
+        aids, unknown = chain
+        platform = self.platform
+        compiled = platform.compiled()
+        executed = [0] * compiled.n_actions
+        cost = platform.initial_cost(process)
+        depth = 0
+        while True:
+            if platform.forced_action(depth) is not None:
+                aid = compiled.actions.index(platform.forced_action_name)
+            elif depth < len(aids):
+                aid = aids[depth]
+            else:
+                return process.downtime
+            if aid < 0 or compiled.required_ge[pidx] is None:
+                culprit = (
+                    f"rule action {unknown!r}" if aid < 0
+                    else f"logged actions {process.actions}"
+                )
+                raise UnknownActionError(
+                    f"replay of process on {process.machine!r} starting at "
+                    f"{process.start_time} reaches {culprit} outside the "
+                    f"catalog {list(compiled.actions)}"
+                )
+            step_cost, succeeded = compiled.step(pidx, depth, aid, executed)
+            cost += step_cost
+            if succeeded:
+                return cost
+            depth += 1
 
     def _evaluation_sample(
         self, processes: Sequence[RecoveryProcess]

@@ -160,6 +160,10 @@ def qtable_from_payload(
     and is supplied by the caller.  Every malformed part of the payload
     raises :class:`LogFormatError` naming it.
     """
+    if not isinstance(payload, dict):
+        raise LogFormatError(
+            f"bad Q-table payload {payload!r}: expected a JSON object"
+        )
     if payload.get("format") != _QTABLE_FORMAT:
         raise LogFormatError(
             f"expected format {_QTABLE_FORMAT!r}, "
@@ -183,7 +187,10 @@ def qtable_from_payload(
         initial_value=initial_value,
         alpha_floor=alpha_floor,
     )
-    for record in payload.get("entries", []):
+    entries = payload.get("entries", [])
+    if not isinstance(entries, list):
+        raise LogFormatError(f"bad entries {entries!r}: expected a list")
+    for record in entries:
         state = state_from_record(record)
         try:
             qtable.restore(

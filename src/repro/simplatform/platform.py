@@ -120,9 +120,10 @@ class CompiledReplay:
     required strengths, the logged attempt at each position, average
     costs — precomputed into plain lists indexed by process index and
     action id (catalog position, which equals strength rank since the
-    catalog orders actions by ascending strength).  The fast training
-    loop then decides success, cost and log-matching with integer
-    compares only; bit-identical to ``step`` by construction:
+    catalog orders actions by ascending strength).  :meth:`step` then
+    decides success, cost and log-matching with integer compares only,
+    for the training loop and the selection tree alike; bit-identical
+    to ``SimulationPlatform.step`` by construction:
 
     * ``covers`` over strength multisets is equivalent to cumulative
       rank-count dominance (for every rank ``r``, the number of executed
@@ -166,6 +167,36 @@ class CompiledReplay:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
+
+    def step(
+        self, pidx: int, depth: int, aid: int, executed: List[int]
+    ) -> Tuple[float, bool]:
+        """Execute action ``aid`` at attempt ``depth`` of process ``pidx``.
+
+        ``executed`` counts the actions run so far by id and is updated
+        in place; the process's ``required_ge`` must not be ``None``.
+        Returns ``(cost, succeeded)``.
+        """
+        executed[aid] += 1
+        required_ge = self.required_ge[pidx]
+        running = 0
+        succeeded = True
+        for rank in range(len(executed) - 1, -1, -1):
+            running += executed[rank]
+            if running < required_ge[rank]:
+                succeeded = False
+                break
+        logged = self.attempt_aids[pidx]
+        if (
+            self.actual_mode
+            and depth < len(logged)
+            and logged[depth] == aid
+            and self.attempt_succeeded[pidx][depth] == succeeded
+        ):
+            return self.attempt_durations[pidx][depth], succeeded
+        if succeeded:
+            return self.success_cost[pidx][aid], True
+        return self.failure_cost[pidx][aid], False
 
 
 class SimulationPlatform:

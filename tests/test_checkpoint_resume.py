@@ -29,7 +29,10 @@ from test_learning_parallel import (
     outcome_snapshot,
     qtable_snapshot,
 )
-from test_policies_serialization import MALFORMED_QTABLE_PAYLOADS
+from test_policies_serialization import (
+    MALFORMED_QTABLE_PAYLOADS,
+    NON_OBJECT_VALUES,
+)
 
 CATALOG = default_catalog()
 QL = QLearningConfig(max_sweeps=40, episodes_per_sweep=8, seed=3)
@@ -116,6 +119,21 @@ class TestCheckpointStore:
         payload = json.loads(path.read_text())
         edit(payload["qtable"])
         path.write_text(json.dumps(payload))
+        assert store.load("error:Hard") is None
+
+    @pytest.mark.parametrize("value", NON_OBJECT_VALUES, ids=json.dumps)
+    def test_non_object_payload_retrains_instead_of_crashing(
+        self, tmp_path, value
+    ):
+        groups = ladder_groups()
+        store = store_at(tmp_path)
+        engine_for(groups, store).train(groups)
+        path = store.path_for("error:Hard")
+        payload = json.loads(path.read_text())
+        payload["qtable"] = value
+        path.write_text(json.dumps(payload))
+        assert store.load("error:Hard") is None
+        path.write_text(json.dumps(value))
         assert store.load("error:Hard") is None
 
     def test_tampered_error_type_raises(self, tmp_path):

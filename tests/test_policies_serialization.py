@@ -27,6 +27,20 @@ def _set_first_entry(key, value):
     return edit
 
 
+def _set_entries(value):
+    def edit(payload):
+        payload["entries"] = value
+
+    return edit
+
+
+def _replace_first_entry(value):
+    def edit(payload):
+        payload["entries"][0] = value
+
+    return edit
+
+
 def _clear_actions(payload):
     payload["actions"] = []
 
@@ -35,6 +49,9 @@ def _garble_initial_value(payload):
     payload["initial_value"] = "zero"
 
 
+#: JSON values that are not objects, where the Q-table format needs one.
+NON_OBJECT_VALUES = [[1, 2], "x", None, 3]
+
 #: Hand edits of a saved Q-table payload that the table itself rejects,
 #: with the text the resulting ``LogFormatError`` must name.
 MALFORMED_QTABLE_PAYLOADS = [
@@ -42,6 +59,11 @@ MALFORMED_QTABLE_PAYLOADS = [
     ("empty-actions", _clear_actions, "actions"),
     ("zero-visits", _set_first_entry("visits", 0), "'visits': 0"),
     ("bad-initial-value", _garble_initial_value, "initial_value"),
+    ("non-list-entries", _set_entries(3), "entries"),
+] + [
+    (f"non-object-entry-{json.dumps(value)}", _replace_first_entry(value),
+     f"record {value!r}")
+    for value in NON_OBJECT_VALUES
 ]
 
 
@@ -161,6 +183,16 @@ class TestQTableRoundTrip:
         message = str(caught.value)
         assert message.startswith(f"{path}: ")
         assert named in message
+
+    @pytest.mark.parametrize("value", NON_OBJECT_VALUES, ids=json.dumps)
+    def test_non_object_payload_names_file(self, tmp_path, value):
+        path = tmp_path / "qtable.json"
+        path.write_text(json.dumps(value))
+        with pytest.raises(LogFormatError) as caught:
+            load_qtable(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ")
+        assert "payload" in message
 
     def test_restore_rejects_zero_visits(self):
         from repro.errors import TrainingError

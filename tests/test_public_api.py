@@ -1,8 +1,15 @@
 """Smoke tests of the top-level public API surface."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
+
+SUBPACKAGES = sorted(
+    info.name for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+)
 
 
 class TestExports:
@@ -12,6 +19,14 @@ class TestExports:
     @pytest.mark.parametrize("name", repro.__all__)
     def test_all_names_resolve(self, name):
         assert getattr(repro, name) is not None
+
+    @pytest.mark.parametrize("package", SUBPACKAGES)
+    def test_subpackage_star_import_resolves(self, package):
+        module = importlib.import_module(f"repro.{package}")
+        namespace = {}
+        exec(f"from repro.{package} import *", namespace)
+        for name in module.__all__:
+            assert name in namespace, name
 
     def test_quickstart_flow_smoke(self, small_trace):
         """The README/quickstart call sequence works end to end."""
