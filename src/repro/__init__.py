@@ -49,7 +49,6 @@ from repro.session import (
     RecoverySession,
     ReplayEnvironment,
     StepTrace,
-    drive,
     drive_batch,
 )
 from repro.tracegen import (
@@ -94,7 +93,6 @@ __all__ = [
     "RecoverySession",
     "ReplayEnvironment",
     "StepTrace",
-    "drive",
     "drive_batch",
     "TraceConfig",
     "default_config",

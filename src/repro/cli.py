@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.actions.action import default_catalog
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import RecoveryPolicyLearner
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, LogFormatError, ReproError
 from repro.evaluation.split import time_ordered_split
 from repro.mining.clustering import coverage_curve
 from repro.mining.noise import filter_noise
@@ -435,9 +435,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.learning.telemetry import TelemetryRecorder
 
+    if not 0.0 < args.fraction <= 1.0:
+        raise ConfigurationError(
+            f"--fraction must be in (0, 1], got {args.fraction}"
+        )
     log = _read_log(args)
     processes = log.to_processes()
-    if 0.0 < args.fraction < 1.0:
+    if args.fraction < 1.0:
         train_set, _test = time_ordered_split(processes, args.fraction)
     else:
         train_set = processes
@@ -617,11 +621,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             with open(args.queries, "r", encoding="utf-8") as queries:
                 batch = []
-                for line in queries:
+                for number, line in enumerate(queries, start=1):
                     line = line.strip()
                     if not line:
                         continue
-                    batch.append(state_from_record(json_module.loads(line)))
+                    try:
+                        batch.append(
+                            state_from_record(json_module.loads(line))
+                        )
+                    except (ValueError, LogFormatError) as exc:
+                        raise LogFormatError(
+                            f"{args.queries}:{number}: {exc}"
+                        ) from None
                     if len(batch) >= args.batch_size:
                         answered += _serve_batch(server, batch, out_handle)
                         batch = []
@@ -696,7 +707,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         run_lint,
     )
     from repro.analysis.engine import BudgetExceededError
-    from repro.errors import ConfigurationError
 
     if args.explain:
         try:

@@ -11,7 +11,7 @@ through its next lifecycle phase:
   overlapping noise fault), record the primary symptom, queue secondary-
   symptom candidates, sample the detection delay;
 * **decide** — every machine awaiting a repair decision resolves in one
-  :func:`~repro.session.driver.decide_wave` call (cap-forced machines
+  :func:`~repro.session.core.decide_wave` call (cap-forced machines
   bypass the policy; the rest share a single
   :meth:`~repro.policies.base.Policy.decide_batch`), then durations are
   sampled per action group;
@@ -70,8 +70,7 @@ from repro.recoverylog.entry import EntryKind, LogEntry, SUCCESS_DESCRIPTION
 from repro.recoverylog.log import RecoveryLog
 from repro.scenario.compiled import CompiledScenario, compile_scenario
 from repro.scenario.model import FaultModel, as_scenario_model
-from repro.session.core import forced_action
-from repro.session.driver import decide_wave
+from repro.session.core import decide_wave, forced_action
 from repro.session.trace import EpisodeTelemetry, EpisodeTrace, StepTrace
 from repro.util.rng import RngStreams
 

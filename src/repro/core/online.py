@@ -24,7 +24,7 @@ from repro.policies.base import Policy
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.user_defined import UserDefinedPolicy
 from repro.recoverylog.process import RecoveryProcess
-from repro.session.driver import EpisodeOutcome, drive
+from repro.session.driver import EpisodeOutcome, drive_batch
 from repro.session.environment import Environment
 from repro.session.trace import EpisodeTelemetry
 
@@ -146,12 +146,12 @@ class RollingRetrainer:
         training.  The fallback (and any hybrid built on it) is proper,
         so episodes driven by the deployed policy always complete.
         """
-        return drive(
-            environment,
+        return drive_batch(
+            [environment],
             self.current_policy(),
             origin="online",
             telemetry=telemetry,
-        )
+        )[0]
 
     def observe(self, process: RecoveryProcess) -> bool:
         """Feed one completed recovery process.

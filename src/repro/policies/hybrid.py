@@ -83,7 +83,9 @@ class HybridPolicy(Policy):
         """Batch the trained pass, then fall back per miss.
 
         The fallback counters advance exactly as they would under
-        per-state :meth:`decide` calls over the same states.
+        per-state :meth:`decide` calls over the same states, and a
+        fallback that cannot act either yields its
+        :class:`UnhandledStateError` entry, as :meth:`decide` raises it.
         """
         self._decision_count += len(states)
         primary = self._trained.decide_batch(states)
@@ -91,7 +93,11 @@ class HybridPolicy(Policy):
         for state, outcome in zip(states, primary):
             if isinstance(outcome, UnhandledStateError):
                 self._fallback_count += 1
-                fallback_decision = self._fallback.decide(state)
+                try:
+                    fallback_decision = self._fallback.decide(state)
+                except UnhandledStateError as exc:
+                    results.append(exc)
+                    continue
                 results.append(
                     PolicyDecision(
                         action=fallback_decision.action,

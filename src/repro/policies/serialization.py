@@ -55,15 +55,28 @@ def state_to_record(state: RecoveryState) -> Dict[str, object]:
 
 
 def state_from_record(record: Dict[str, object]) -> RecoveryState:
-    """Invert :func:`state_to_record`."""
-    try:
-        return RecoveryState(
-            error_type=str(record["error_type"]),
-            healthy=False,
-            tried=tuple(str(a) for a in record["tried"]),
+    """Invert :func:`state_to_record`.
+
+    Raises :class:`LogFormatError` naming the field unless ``error_type``
+    is a non-empty string and ``tried`` a list of strings.
+    """
+    if not isinstance(record, dict):
+        raise LogFormatError(f"bad state record {record!r}: not an object")
+    error_type = record.get("error_type")
+    if not isinstance(error_type, str) or not error_type:
+        raise LogFormatError(
+            f"bad state record {record!r}: field 'error_type' must be a "
+            f"non-empty string, got {error_type!r}"
         )
-    except (KeyError, TypeError) as exc:
-        raise LogFormatError(f"bad state record {record!r}: {exc}") from None
+    tried = record.get("tried")
+    if not isinstance(tried, list) or not all(
+        isinstance(action, str) for action in tried
+    ):
+        raise LogFormatError(
+            f"bad state record {record!r}: field 'tried' must be a list "
+            f"of strings, got {tried!r}"
+        )
+    return RecoveryState(error_type=error_type, tried=tuple(tried))
 
 
 # Backwards-compatible private aliases.
@@ -107,7 +120,10 @@ def load_policy(path: PathLike) -> TrainedPolicy:
         )
     rules: Dict[RecoveryState, Tuple[str, float]] = {}
     for record in payload.get("rules", []):
-        state = _state_from_record(record)
+        try:
+            state = state_from_record(record)
+        except LogFormatError as exc:
+            raise LogFormatError(f"{path}: {exc}") from None
         try:
             rules[state] = (
                 str(record["action"]),

@@ -1,19 +1,20 @@
-"""Unified recovery-session core shared by every episode loop.
+"""Unified recovery-session core shared by the object-path episode loops.
 
 One state machine (:class:`RecoverySession`), one cap rule
-(:func:`forced_action`), one trace schema (:class:`EpisodeTrace`), and
-synchronous drivers (:func:`drive`, :func:`drive_batch`) behind a small
-:class:`Environment` protocol.  Log replay, policy evaluation, online
-cluster recovery and training episodes all execute through this package.
+(:func:`forced_action`), one decision rule (:func:`decide_wave`), one
+trace schema (:class:`EpisodeTrace`), and one synchronous driver
+(:func:`drive_batch`) behind a small :class:`Environment` protocol.  Log
+replay, policy evaluation and online cluster recovery execute through
+this package; training runs on the platform's compiled replay view.
 """
 
 from repro.session.core import (
     RecoverySession,
     SessionDecision,
-    Transition,
+    decide_wave,
     forced_action,
 )
-from repro.session.driver import EpisodeOutcome, drive, drive_batch
+from repro.session.driver import EpisodeOutcome, drive_batch
 from repro.session.environment import (
     Environment,
     ExecutionResult,
@@ -29,10 +30,9 @@ from repro.session.trace import (
 __all__ = [
     "RecoverySession",
     "SessionDecision",
-    "Transition",
+    "decide_wave",
     "forced_action",
     "EpisodeOutcome",
-    "drive",
     "drive_batch",
     "Environment",
     "ExecutionResult",

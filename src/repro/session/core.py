@@ -6,32 +6,37 @@ observe the outcome, stop at the ``N`` = 20 action cap.  Historically the
 repo re-implemented that loop in four places (platform replay, the
 evaluator, the cluster simulator's online recovery, the trainer's
 episode loop), each enforcing the cap and emitting telemetry slightly
-differently.  :class:`RecoverySession` is the one implementation they
-all share now.
+differently.  :class:`RecoverySession` is the one implementation replay,
+evaluation and online recovery share; training steps the platform's
+compiled replay view and asks :func:`forced_action` for the cap.
 
 The session is deliberately a *state machine*, not a closed loop:
-``next_action()`` produces the next decision and ``record_outcome()``
-advances the state.  Synchronous callers use the driver functions in
-:mod:`repro.session.driver`; the event-driven cluster simulator calls
-the two halves directly across simulated time (decide now, observe the
-outcome when the action's completion event fires).
+a decision is adopted (:meth:`RecoverySession.adopt`) and
+``record_outcome()`` advances the state.  Every decision comes from
+:func:`decide_wave`, the one place in this package that consults a
+policy: the synchronous driver (:func:`repro.session.driver.drive_batch`)
+and the fleet backend decide whole waves of sessions with it, and the
+event-driven cluster simulator decides one session at a time through
+:meth:`RecoverySession.next_action` across simulated time (decide now,
+observe the outcome when the action's completion event fires).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError, UnhandledStateError
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
+from repro.policies.base import Policy
 from repro.session.trace import FORCED_SOURCE, EpisodeTrace, StepTrace
 
-__all__ = ["forced_action", "SessionDecision", "RecoverySession"]
-
-#: One recorded transition: ``(state, action, cost, next_state)`` — the
-#: exact tuple the Q-learning update consumes.
-Transition = Tuple[RecoveryState, str, float, RecoveryState]
+__all__ = [
+    "forced_action",
+    "SessionDecision",
+    "decide_wave",
+    "RecoverySession",
+]
 
 
 def forced_action(
@@ -74,6 +79,52 @@ class SessionDecision:
     expected_cost: Optional[float] = None
 
 
+def decide_wave(
+    policy: Policy,
+    states: Sequence[RecoveryState],
+    forced_names: Sequence[Optional[str]],
+) -> List[Union[SessionDecision, UnhandledStateError]]:
+    """Decide one lockstep wave of states: the cap first, then the policy.
+
+    Entries whose ``N``-cap already forces an action (``forced_names[i]``
+    not ``None``) bypass the policy entirely; all remaining states pool
+    into **one** :meth:`~repro.policies.base.Policy.decide_batch` call.
+    Results come back in input order as :class:`SessionDecision` values,
+    or the :class:`~repro.errors.UnhandledStateError` the policy produced
+    for that state — returned, not raised, so callers choose between
+    aborting one session (the replay driver) and propagating (the live
+    cluster backends).
+    """
+    if len(states) != len(forced_names):
+        raise ValueError("states and forced_names must align")
+    results: List[Union[SessionDecision, UnhandledStateError, None]] = [
+        None
+    ] * len(states)
+    free_positions: List[int] = []
+    free_states: List[RecoveryState] = []
+    for position, (state, forced) in enumerate(zip(states, forced_names)):
+        if forced is not None:
+            results[position] = SessionDecision(
+                action=forced, forced=True, source=FORCED_SOURCE
+            )
+        else:
+            free_positions.append(position)
+            free_states.append(state)
+    if free_states:
+        outcomes = policy.decide_batch(free_states)
+        for position, outcome in zip(free_positions, outcomes):
+            if isinstance(outcome, UnhandledStateError):
+                results[position] = outcome
+            else:
+                results[position] = SessionDecision(
+                    action=outcome.action,
+                    forced=False,
+                    source=outcome.source,
+                    expected_cost=outcome.expected_cost,
+                )
+    return results  # type: ignore[return-value]
+
+
 class RecoverySession:
     """One recovery episode: state, cap enforcement, cost, trace.
 
@@ -93,10 +144,6 @@ class RecoverySession:
         ``"cluster"``, ...).
     initial_cost:
         Detection-segment seconds charged before the first action.
-    record_transitions:
-        Keep ``(state, action, cost, next_state)`` tuples for the
-        Q-learning update (off by default; traces alone serve the other
-        loops).
     """
 
     def __init__(
@@ -108,7 +155,6 @@ class RecoverySession:
         forced_action_name: str,
         origin: str = "session",
         initial_cost: float = 0.0,
-        record_transitions: bool = False,
     ) -> None:
         if max_actions < 2:
             raise ConfigurationError(
@@ -127,9 +173,6 @@ class RecoverySession:
         self._pending: Optional[SessionDecision] = None
         self._forced_manual = False
         self._aborted = False
-        self._transitions: Optional[List[Transition]] = (
-            [] if record_transitions else None
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -174,18 +217,6 @@ class RecoverySession:
         """Actions executed so far."""
         return self._state.tried
 
-    @property
-    def transitions(self) -> Tuple[Transition, ...]:
-        """Recorded transitions (``record_transitions=True`` only)."""
-        if self._transitions is None:
-            return ()
-        return tuple(self._transitions)
-
-    @property
-    def pending(self) -> Optional[SessionDecision]:
-        """The decision awaiting its outcome, if any (batched path)."""
-        return self._pending
-
     # ------------------------------------------------------------------
     def forced_action(self) -> Optional[str]:
         """The cap-forced action for the current state, if any."""
@@ -194,85 +225,44 @@ class RecoverySession:
         )
 
     def next_action(self) -> SessionDecision:
-        """Observe the current state and decide the next action.
+        """Decide and adopt the next action for this one session.
 
-        The cap rule is consulted first; while it permits, the policy
-        decides.  A policy raising
-        :class:`~repro.errors.UnhandledStateError` aborts the session
-        (``handled`` becomes False) and the error propagates so callers
+        :func:`decide_wave` over the current state: the cap rule first,
+        then the policy.  A policy that cannot act aborts the session
+        (``handled`` becomes False) and its
+        :class:`~repro.errors.UnhandledStateError` is raised, so callers
         that must not swallow it (the live cluster) still see it.
         """
-        if self.done:
-            raise SimulationError("cannot decide in a finished session")
-        if self._pending is not None:
-            raise SimulationError(
-                "previous decision has no recorded outcome yet"
-            )
-        forced = self.forced_action()
-        if forced is not None:
-            decision = SessionDecision(
-                action=forced, forced=True, source=FORCED_SOURCE
-            )
-        else:
-            try:
-                chosen = self._policy.decide(self._state)
-            except UnhandledStateError:
-                self._aborted = True
-                raise
-            decision = SessionDecision(
-                action=chosen.action,
-                forced=False,
-                source=chosen.source,
-                expected_cost=chosen.expected_cost,
-            )
-        self._pending = decision
+        self._check_can_decide()
+        (decision,) = decide_wave(
+            self._policy, (self._state,), (self.forced_action(),)
+        )
+        if self.adopt(decision) is None:
+            raise decision
         return decision
 
-    def resolve(
-        self, outcome: Union[PolicyDecision, UnhandledStateError]
+    def adopt(
+        self, decision: Union[SessionDecision, UnhandledStateError]
     ) -> Optional[SessionDecision]:
-        """Adopt an externally produced decision (the batched path).
+        """Make ``decision``, an entry of :func:`decide_wave`, pending.
 
-        ``drive_batch`` collects the states of many concurrent sessions
-        and calls :meth:`Policy.decide_batch` once; each session then
-        resolves its own entry.  A cap-forced session ignores the
-        argument-free path entirely — callers must check
-        :meth:`forced_action` first and only batch the free states.
-        Passing an :class:`~repro.errors.UnhandledStateError` aborts the
-        session and returns ``None``.
+        An :class:`~repro.errors.UnhandledStateError` aborts the session
+        instead and returns ``None``.
         """
-        if self.done:
-            raise SimulationError("cannot decide in a finished session")
-        if self._pending is not None:
-            raise SimulationError(
-                "previous decision has no recorded outcome yet"
-            )
-        if isinstance(outcome, UnhandledStateError):
+        self._check_can_decide()
+        if isinstance(decision, UnhandledStateError):
             self._aborted = True
             return None
-        decision = SessionDecision(
-            action=outcome.action,
-            forced=False,
-            source=outcome.source,
-            expected_cost=outcome.expected_cost,
-        )
         self._pending = decision
         return decision
 
-    def force_pending(self) -> SessionDecision:
-        """Record the cap-forced decision as pending (batched path)."""
-        forced = self.forced_action()
-        if forced is None:
-            raise SimulationError("the action cap does not force yet")
+    def _check_can_decide(self) -> None:
+        if self.done:
+            raise SimulationError("cannot decide in a finished session")
         if self._pending is not None:
             raise SimulationError(
                 "previous decision has no recorded outcome yet"
             )
-        decision = SessionDecision(
-            action=forced, forced=True, source=FORCED_SOURCE
-        )
-        self._pending = decision
-        return decision
 
     def record_outcome(
         self,
@@ -280,14 +270,10 @@ class RecoverySession:
         succeeded: bool,
         *,
         matched_log: Optional[bool] = None,
-        next_state: Optional[RecoveryState] = None,
     ) -> RecoveryState:
         """Observe the executed action's outcome and advance the state.
 
-        ``next_state`` lets environments that already computed the
-        successor (the replay platform's ``step``) hand it over instead
-        of rebuilding it; it must equal ``state.after(action,
-        succeeded)``.  Returns the new current state.
+        Returns the new current state.
         """
         decision = self._pending
         if decision is None:
@@ -308,21 +294,9 @@ class RecoverySession:
                 expected_cost=decision.expected_cost,
             )
         )
-        previous = self._state
-        if next_state is None:
-            next_state = previous.after(decision.action, succeeded)
-        self._state = next_state
+        self._state = self._state.after(decision.action, succeeded)
         self._total += cost
-        if self._transitions is not None:
-            self._transitions.append(
-                (previous, decision.action, cost, next_state)
-            )
-        return next_state
-
-    def abort(self) -> None:
-        """Mark the session unhandled (the policy could not act)."""
-        self._pending = None
-        self._aborted = True
+        return self._state
 
     def trace(self) -> EpisodeTrace:
         """The episode's structured trace (valid at any point)."""

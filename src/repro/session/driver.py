@@ -1,82 +1,33 @@
-"""Drivers that run recovery sessions to completion.
+"""The driver that runs recovery sessions to completion.
 
-:func:`drive` couples one session to a synchronous
-:class:`~repro.session.environment.Environment` and loops
-observe → decide → act → update until the episode ends.  :func:`drive_batch`
-advances many independent sessions in lockstep *waves*, collecting every
-session that needs a policy decision and asking
-:meth:`~repro.policies.base.Policy.decide_batch` once per wave — the
-shape the ROADMAP's serving layer needs (one vectorized decision call
-over all concurrently open recoveries).
+:func:`drive_batch` couples one session per synchronous
+:class:`~repro.session.environment.Environment` and advances them in
+lockstep *waves*: each wave decides every open session with one
+:func:`~repro.session.core.decide_wave` call — the ``N``-cap first, the
+rest pooled into a single
+:meth:`~repro.policies.base.Policy.decide_batch` — then executes each
+decision in its environment.  Driving one environment is
+``drive_batch([environment])``.
 
 Because policies are stateless functions of the recovery state, a
-deterministic policy produces bit-identical per-session episodes under
-either driver; only the *interleaving* of decide calls differs.
-Policies whose decisions consume internal RNG state declare
-``batch_safe = False`` and are driven sequentially instead.
+deterministic policy produces bit-identical per-session episodes however
+the sessions are grouped into waves; only the *interleaving* of decide
+calls differs.  Policies whose decisions consume internal RNG state
+declare ``batch_safe = False`` and are driven as batches of one, in
+input order, so their draw order is that of sequential episodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import UnhandledStateError
-from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy
-from repro.session.core import RecoverySession, SessionDecision, Transition
+from repro.session.core import RecoverySession, decide_wave
 from repro.session.environment import Environment
-from repro.session.trace import FORCED_SOURCE, EpisodeTelemetry, EpisodeTrace
+from repro.session.trace import EpisodeTelemetry, EpisodeTrace
 
-__all__ = ["EpisodeOutcome", "decide_wave", "drive", "drive_batch"]
-
-
-def decide_wave(
-    policy: Policy,
-    states: Sequence[RecoveryState],
-    forced_names: Sequence[Optional[str]],
-) -> List[Union[SessionDecision, UnhandledStateError]]:
-    """Resolve one lockstep decision wave over mixed forced/free states.
-
-    This is the wave-splitting rule :func:`drive_batch` applies and the
-    fleet backend's single policy touchpoint: entries whose ``N``-cap
-    already forces an action (``forced_names[i]`` not ``None``) bypass
-    the policy entirely; all remaining states pool into **one**
-    :meth:`~repro.policies.base.Policy.decide_batch` call.  Results come
-    back in input order as :class:`~repro.session.core.SessionDecision`
-    values, or the :class:`~repro.errors.UnhandledStateError` the policy
-    produced for that state — returned, not raised, so callers choose
-    between aborting one session (the replay drivers) and propagating
-    (the live cluster backends).
-    """
-    if len(states) != len(forced_names):
-        raise ValueError("states and forced_names must align")
-    results: List[Union[SessionDecision, UnhandledStateError, None]] = [
-        None
-    ] * len(states)
-    free_positions: List[int] = []
-    free_states: List[RecoveryState] = []
-    for position, (state, forced) in enumerate(zip(states, forced_names)):
-        if forced is not None:
-            results[position] = SessionDecision(
-                action=forced, forced=True, source=FORCED_SOURCE
-            )
-        else:
-            free_positions.append(position)
-            free_states.append(state)
-    if free_states:
-        outcomes = policy.decide_batch(free_states)
-        for position, outcome in zip(free_positions, outcomes):
-            if isinstance(outcome, UnhandledStateError):
-                results[position] = outcome
-            else:
-                results[position] = SessionDecision(
-                    action=outcome.action,
-                    forced=False,
-                    source=outcome.source,
-                    expected_cost=outcome.expected_cost,
-                )
-    return results  # type: ignore[return-value]
+__all__ = ["EpisodeOutcome", "drive_batch"]
 
 
 @dataclass(frozen=True)
@@ -97,9 +48,6 @@ class EpisodeOutcome:
         Whether the ``N``-action cap forced the manual repair.
     trace:
         The structured per-step episode trace.
-    transitions:
-        ``(state, action, cost, next_state)`` tuples when the session
-        recorded them (the training loop), else empty.
     """
 
     handled: bool
@@ -107,70 +55,41 @@ class EpisodeOutcome:
     actions: Tuple[str, ...]
     forced_manual: bool
     trace: EpisodeTrace
-    transitions: Tuple[Transition, ...] = ()
 
 
-def _finish(
-    session: RecoverySession, telemetry: Optional[EpisodeTelemetry]
-) -> EpisodeOutcome:
-    trace = session.trace()
-    if telemetry is not None:
-        telemetry.on_episode(trace)
-    return EpisodeOutcome(
-        handled=session.handled,
-        cost=session.total_cost,
-        actions=session.actions,
-        forced_manual=session.forced_manual,
-        trace=trace,
-        transitions=session.transitions,
-    )
-
-
-def _make_session(
-    environment: Environment,
-    policy: Policy,
-    origin: str,
-    record_transitions: bool,
-) -> RecoverySession:
-    return RecoverySession(
-        environment.error_type,
-        policy,
-        max_actions=environment.max_actions,
-        forced_action_name=environment.forced_action_name,
-        origin=origin,
-        initial_cost=environment.initial_cost(),
-        record_transitions=record_transitions,
-    )
-
-
-def drive(
-    environment: Environment,
-    policy: Policy,
-    *,
-    origin: str = "replay",
-    telemetry: Optional[EpisodeTelemetry] = None,
-    record_transitions: bool = False,
-) -> EpisodeOutcome:
-    """Run ``policy`` against ``environment`` until the episode ends.
-
-    An :class:`~repro.errors.UnhandledStateError` from the policy ends
-    the episode with ``handled=False`` (the paper's unhandled cases);
-    the actions executed up to that point are preserved in the outcome.
-    """
-    session = _make_session(environment, policy, origin, record_transitions)
-    while not session.done:
-        try:
-            decision = session.next_action()
-        except UnhandledStateError:
-            break
-        result = environment.execute(session.state, decision.action)
-        session.record_outcome(
-            result.cost,
-            result.succeeded,
-            matched_log=result.matched_log,
-            next_state=result.next_state,
+def _run_waves(
+    environments: Sequence[Environment], policy: Policy, origin: str
+) -> List[RecoverySession]:
+    sessions = [
+        RecoverySession(
+            environment.error_type,
+            policy,
+            max_actions=environment.max_actions,
+            forced_action_name=environment.forced_action_name,
+            origin=origin,
+            initial_cost=environment.initial_cost(),
         )
-    return _finish(session, telemetry)
+        for environment in environments
+    ]
+    active = list(zip(sessions, environments))
+    while active:
+        decisions = decide_wave(
+            policy,
+            [session.state for session, _environment in active],
+            [session.forced_action() for session, _environment in active],
+        )
+        still_active = []
+        for (session, environment), decision in zip(active, decisions):
+            if session.adopt(decision) is None:
+                continue
+            result = environment.execute(session.state, decision.action)
+            session.record_outcome(
+                result.cost, result.succeeded, matched_log=result.matched_log
+            )
+            if not session.done:
+                still_active.append((session, environment))
+        active = still_active
+    return sessions
 
 
 def drive_batch(
@@ -180,60 +99,36 @@ def drive_batch(
     origin: str = "replay",
     telemetry: Optional[EpisodeTelemetry] = None,
 ) -> List[EpisodeOutcome]:
-    """Run one session per environment, deciding in lockstep waves.
+    """Run one session per environment until every episode ends.
 
-    Each wave gathers the states of every still-open session whose next
-    action is not cap-forced and resolves them with a single
-    :meth:`Policy.decide_batch` call; cap-forced sessions take the
-    manual repair without consulting the policy.  Per-session episodes
-    are identical to :func:`drive` for any deterministic policy (see
-    module docstring); policies with ``batch_safe = False`` fall back
-    to sequential driving to preserve their RNG draw order.
+    An :class:`~repro.errors.UnhandledStateError` from the policy ends
+    that session's episode with ``handled=False`` (the paper's unhandled
+    cases) without sinking the rest of the wave; the actions executed up
+    to that point are preserved in its outcome.
 
     Outcomes are returned in input order; telemetry fires once per
     episode, also in input order, after every session finished.
     """
-    if not policy.batch_safe:
-        return [
-            drive(environment, policy, origin=origin, telemetry=telemetry)
+    if policy.batch_safe:
+        sessions = _run_waves(environments, policy, origin)
+    else:
+        sessions = [
+            session
             for environment in environments
+            for session in _run_waves((environment,), policy, origin)
         ]
-    sessions = [
-        _make_session(environment, policy, origin, False)
-        for environment in environments
-    ]
-    active = [
-        (session, environment)
-        for session, environment in zip(sessions, environments)
-        if not session.done
-    ]
-    while active:
-        # Split the wave: cap-forced sessions act immediately; the rest
-        # pool their states into one batched decision.
-        deciding: List[Tuple[RecoverySession, Environment]] = []
-        states: List[RecoveryState] = []
-        for session, environment in active:
-            if session.forced_action() is not None:
-                session.force_pending()
-            else:
-                deciding.append((session, environment))
-                states.append(session.state)
-        if states:
-            decisions = policy.decide_batch(states)
-            for (session, _environment), decision in zip(deciding, decisions):
-                session.resolve(decision)
-        still_active = []
-        for session, environment in active:
-            if session.handled and not session.done:
-                decision = session.pending
-                result = environment.execute(session.state, decision.action)
-                session.record_outcome(
-                    result.cost,
-                    result.succeeded,
-                    matched_log=result.matched_log,
-                    next_state=result.next_state,
-                )
-            if not session.done:
-                still_active.append((session, environment))
-        active = still_active
-    return [_finish(session, telemetry) for session in sessions]
+    outcomes = []
+    for session in sessions:
+        trace = session.trace()
+        if telemetry is not None:
+            telemetry.on_episode(trace)
+        outcomes.append(
+            EpisodeOutcome(
+                handled=session.handled,
+                cost=session.total_cost,
+                actions=session.actions,
+                forced_manual=session.forced_manual,
+                trace=trace,
+            )
+        )
+    return outcomes

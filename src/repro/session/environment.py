@@ -1,7 +1,7 @@
 """The environment side of a recovery session.
 
 A session decides; an environment executes.  :class:`Environment` is the
-small protocol the synchronous drivers couple a session to — the replay
+small protocol the synchronous driver couples a session to — the replay
 platform, a future live-serving executor, anything that can run one
 repair action and report ``(cost, succeeded)``.  The event-driven
 cluster simulator does not fit a blocking ``execute`` call and instead
@@ -11,8 +11,8 @@ simulated time; everything else adapts here.
 :class:`ReplayEnvironment` is the adapter for counterfactual log replay
 (one :class:`~repro.recoverylog.process.RecoveryProcess` on a
 :class:`~repro.simplatform.platform.SimulationPlatform`), used by
-``SimulationPlatform.replay``, the policy evaluator, the trainer's
-reference episode loop and the rolling retrainer's deployed path.
+``SimulationPlatform.replay_many`` and through it the policy evaluator,
+the validation and ablation replays and ``SimulationPlatform.replay``.
 """
 
 from __future__ import annotations
@@ -43,16 +43,11 @@ class ExecutionResult:
     matched_log:
         Replay environments: whether the proposal coincided with the
         logged action at this position.  ``None`` elsewhere.
-    next_state:
-        The successor state when the environment already computed it
-        (saves the session rebuilding an identical one); ``None`` lets
-        the session derive ``state.after(action, succeeded)``.
     """
 
     cost: float
     succeeded: bool
     matched_log: Optional[bool] = None
-    next_state: Optional[RecoveryState] = None
 
 
 class Environment(abc.ABC):
@@ -131,5 +126,4 @@ class ReplayEnvironment(Environment):
             cost=outcome.cost,
             succeeded=outcome.succeeded,
             matched_log=outcome.matched_log,
-            next_state=outcome.next_state,
         )

@@ -1,12 +1,12 @@
 """Structured per-step episode traces and the observer hook they feed.
 
-Every episode loop in the system — log replay, policy evaluation, online
-cluster recovery, training exploration — runs through
+Every object-path episode loop — log replay, policy evaluation, online
+cluster recovery — runs through
 :class:`~repro.session.core.RecoverySession`, which records one
 :class:`StepTrace` per executed action and closes the episode with an
 :class:`EpisodeTrace`.  The schema is the single observability record
 the ROADMAP's serving-scale direction needs: uniform across origins, so
-a dashboard aggregating "cost per step by error type" reads training,
+a dashboard aggregating "cost per step by error type" reads replay,
 evaluation and production recovery identically.
 
 :class:`EpisodeTelemetry` is the hook interface; the standard recorder

@@ -5,9 +5,11 @@ executed in state ``s`` while replaying process ``p``": success is decided
 by the required-action hypotheses
 (:mod:`repro.simplatform.hypotheses`), and the time cost is the actual
 logged duration when the proposal matches the log at that position, or the
-learned average otherwise.  :meth:`replay` drives a full policy through a
-process, enforcing the paper's ``N``-action cap by forcing the manual
-repair on the final slot.
+learned average otherwise.  The step is decided on the platform's
+integer-indexed :class:`CompiledReplay` view, the same step the training
+loop and the selection tree run.  :meth:`replay_many` drives a full
+policy through processes, enforcing the paper's ``N``-action cap by
+forcing the manual repair on the final slot.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy
 from repro.recoverylog.process import RecoveryProcess
 from repro.session.core import forced_action as cap_forced_action
-from repro.session.driver import EpisodeOutcome, drive, drive_batch
+from repro.session.driver import drive_batch
 from repro.session.environment import ReplayEnvironment
 from repro.session.trace import EpisodeTelemetry, EpisodeTrace
 from repro.simplatform.coststats import CostStatistics
-from repro.simplatform.hypotheses import covers, required_strengths
+from repro.simplatform.hypotheses import required_strengths
 
 __all__ = [
     "CostMode",
@@ -116,22 +118,23 @@ class ReplayResult:
 class CompiledReplay:
     """Integer-indexed view of a platform's processes for fast replay.
 
-    Everything :meth:`SimulationPlatform.step` consults per step —
-    required strengths, the logged attempt at each position, average
-    costs — precomputed into plain lists indexed by process index and
-    action id (catalog position, which equals strength rank since the
-    catalog orders actions by ascending strength).  :meth:`step` then
-    decides success, cost and log-matching with integer compares only,
-    for the training loop and the selection tree alike; bit-identical
-    to ``SimulationPlatform.step`` by construction:
+    Everything a replay step consults — required strengths, the logged
+    attempt at each position, average costs — precomputed into plain
+    lists indexed by process index and action id (catalog position,
+    which equals strength rank since the catalog orders actions by
+    ascending strength).  :meth:`step` then decides success and cost
+    with integer compares only, for :meth:`SimulationPlatform.step`, the
+    training loop and the selection tree alike:
 
-    * ``covers`` over strength multisets is equivalent to cumulative
-      rank-count dominance (for every rank ``r``, the number of executed
-      actions of rank >= r must reach ``required_ge[pidx][r]``), because
-      the catalog's id order is a strictly monotone image of its
-      strength order;
-    * costs are the same ``CostStatistics`` values, just read from a
-      per-type row instead of recomputed per call.
+    * hypothesis 2 (each required occurrence matched by a distinct
+      executed action at least as strong:
+      :func:`~repro.simplatform.hypotheses.covers` over strength
+      multisets) is equivalent to cumulative rank-count dominance (for
+      every rank ``r``, the number of executed actions of rank >= r must
+      reach ``required_ge[pidx][r]``), because the catalog's id order is
+      a strictly monotone image of its strength order;
+    * costs are the ``CostStatistics`` values, read from a per-type row
+      instead of recomputed per call.
 
     Attributes
     ----------
@@ -143,8 +146,7 @@ class CompiledReplay:
     required_ge:
         Per process: ``required_ge[r]`` counts required occurrences of
         rank >= r, or ``None`` when the process references an action
-        outside the catalog (the error then surfaces on first use, as
-        on the uncompiled path).
+        outside the catalog (the error then surfaces on first use).
     attempt_aids:
         Per process, per attempt position: the logged action id, or -1
         when the logged action is not in the catalog (matches nothing).
@@ -198,6 +200,18 @@ class CompiledReplay:
             return self.success_cost[pidx][aid], True
         return self.failure_cost[pidx][aid], False
 
+    def matched_log(
+        self, pidx: int, depth: int, aid: int, succeeded: bool
+    ) -> bool:
+        """Whether process ``pidx`` logged ``aid`` at attempt ``depth``
+        with the outcome ``succeeded``."""
+        logged = self.attempt_aids[pidx]
+        return (
+            depth < len(logged)
+            and logged[depth] == aid
+            and self.attempt_succeeded[pidx][depth] == succeeded
+        )
+
 
 class SimulationPlatform:
     """Counterfactual replay over an ensemble of recovery processes.
@@ -245,27 +259,9 @@ class SimulationPlatform:
         self._cost_mode = cost_mode
         self._last_action_only = last_action_only
         self._max_actions = max_actions
-        # Required strengths are replay-invariant, so precompute them for
-        # the platform's own processes.  Keying by process *value* (the
-        # frozen dataclass, with a memoized hash) bounds the cache to
-        # this ensemble — unlike an id-keyed dict it cannot grow across
-        # scenarios, and value-equal duplicates share one entry.  A
-        # process referencing an action outside the catalog is skipped
-        # here so the UnknownActionError still surfaces on first replay,
-        # exactly like the lazily computed path.
-        self._required_by_process: Dict[
-            RecoveryProcess, Tuple[int, ...]
-        ] = {}
-        for process in self._processes:
-            if process not in self._required_by_process:
-                try:
-                    self._required_by_process[process] = required_strengths(
-                        process,
-                        self._catalog,
-                        last_action_only=self._last_action_only,
-                    )
-                except UnknownActionError:
-                    pass
+        self._action_ids = {
+            name: aid for aid, name in enumerate(catalog.names())
+        }
         self._compiled: Optional[CompiledReplay] = None
         self._process_index: Optional[Dict[RecoveryProcess, int]] = None
         self._forced_name = self._catalog.strongest.name
@@ -291,16 +287,6 @@ class SimulationPlatform:
     def forced_action_name(self) -> str:
         """The manual repair the ``N``-cap forces on the final slot."""
         return self._forced_name
-
-    def _required(self, process: RecoveryProcess) -> Tuple[int, ...]:
-        required = self._required_by_process.get(process)
-        if required is None:
-            # Foreign (or unknown-action) process: compute uncached so
-            # the dictionary stays bounded by the platform's ensemble.
-            required = required_strengths(
-                process, self._catalog, last_action_only=self._last_action_only
-            )
-        return required
 
     # ------------------------------------------------------------------
     def forced_action(self, attempt_count: int) -> Optional[str]:
@@ -350,7 +336,6 @@ class SimulationPlatform:
     def _compile(self) -> CompiledReplay:
         actions = tuple(self._catalog.names())
         n_actions = len(actions)
-        action_ids = {name: aid for aid, name in enumerate(actions)}
         rank_of_strength = {
             action.strength: aid
             for aid, action in enumerate(self._catalog.by_strength())
@@ -363,8 +348,14 @@ class SimulationPlatform:
         success_cost: List[Tuple[float, ...]] = []
         failure_cost: List[Tuple[float, ...]] = []
         for process in self._processes:
-            required = self._required_by_process.get(process)
-            if required is None:
+            try:
+                required = required_strengths(
+                    process,
+                    self._catalog,
+                    last_action_only=self._last_action_only,
+                )
+            except UnknownActionError:
+                # Raised again when the process is first stepped.
                 required_ge.append(None)
             else:
                 counts = [0] * n_actions
@@ -378,7 +369,7 @@ class SimulationPlatform:
                 required_ge.append(tuple(cumulative))
             attempts = process.attempts
             attempt_aids.append(
-                tuple(action_ids.get(a.action, -1) for a in attempts)
+                tuple(self._action_ids.get(a.action, -1) for a in attempts)
             )
             attempt_succeeded.append(tuple(a.succeeded for a in attempts))
             attempt_durations.append(tuple(a.duration for a in attempts))
@@ -424,7 +415,11 @@ class SimulationPlatform:
         state: RecoveryState,
         action_name: str,
     ) -> StepOutcome:
-        """Execute ``action_name`` in ``state`` while replaying ``process``."""
+        """Execute ``action_name`` in ``state`` while replaying ``process``.
+
+        ``process`` must be one of :attr:`processes`; success and cost
+        are decided by :meth:`CompiledReplay.step` on the compiled view.
+        """
         if state.is_terminal:
             raise SimulationError(
                 f"cannot step from terminal state {state}"
@@ -434,61 +429,32 @@ class SimulationPlatform:
                 f"state error type {state.error_type!r} does not match "
                 f"process error type {process.error_type!r}"
             )
-        action = self._catalog[action_name]
-        executed = [self._catalog[name].strength for name in state.tried]
-        executed.append(action.strength)
-        succeeded = covers(self._required(process), executed)
-
-        position = state.attempt_count
-        attempts = process.attempts
-        matched = (
-            position < len(attempts)
-            and attempts[position].action == action_name
-            and attempts[position].succeeded == succeeded
-        )
-        if matched and self._cost_mode is CostMode.ACTUAL_WHEN_MATCHING:
-            cost = attempts[position].duration
-        elif succeeded:
-            cost = self._stats.success_cost(process.error_type, action_name)
-        else:
-            cost = self._stats.failure_cost(process.error_type, action_name)
+        pidx = self.process_index(process)
+        compiled = self.compiled()
+        aid = self._action_id(action_name)
+        executed = [0] * compiled.n_actions
+        for name in state.tried:
+            executed[self._action_id(name)] += 1
+        if compiled.required_ge[pidx] is None:
+            # The process logs an action outside the catalog: raise the
+            # catalog's UnknownActionError for it.
+            required_strengths(
+                process, self._catalog, last_action_only=self._last_action_only
+            )
+        depth = state.attempt_count
+        cost, succeeded = compiled.step(pidx, depth, aid, executed)
         return StepOutcome(
             cost=cost,
             next_state=state.after(action_name, succeeded),
             succeeded=succeeded,
-            matched_log=matched,
+            matched_log=compiled.matched_log(pidx, depth, aid, succeeded),
         )
 
-    def _self_healed_trace(
-        self, process: RecoveryProcess, origin: str
-    ) -> EpisodeTrace:
-        return EpisodeTrace(
-            origin=origin,
-            error_type=process.error_type,
-            initial_cost=process.downtime,
-            steps=(),
-            handled=True,
-            forced_manual=False,
-        )
-
-    @staticmethod
-    def _to_replay_result(
-        outcome: EpisodeOutcome, process: RecoveryProcess
-    ) -> ReplayResult:
-        if not outcome.handled:
-            return ReplayResult(
-                handled=False,
-                cost=float("nan"),
-                actions=outcome.actions,
-                real_cost=process.downtime,
-            )
-        return ReplayResult(
-            handled=True,
-            cost=outcome.cost,
-            actions=outcome.actions,
-            real_cost=process.downtime,
-            forced_manual=outcome.forced_manual,
-        )
+    def _action_id(self, name: str) -> int:
+        aid = self._action_ids.get(name)
+        if aid is None:
+            self._catalog[name]  # raises UnknownActionError
+        return aid
 
     def replay(
         self,
@@ -498,29 +464,10 @@ class SimulationPlatform:
         origin: str = "replay",
         telemetry: Optional[EpisodeTelemetry] = None,
     ) -> ReplayResult:
-        """Drive ``policy`` through ``process`` until cured or unhandled.
-
-        The episode itself runs through the shared recovery-session
-        driver (:func:`repro.session.driver.drive`) over a
-        :class:`~repro.session.environment.ReplayEnvironment`.
-        """
-        if not process.attempts:
-            # Self-healed process: nothing to decide; charge real downtime.
-            if telemetry is not None:
-                telemetry.on_episode(self._self_healed_trace(process, origin))
-            return ReplayResult(
-                handled=True,
-                cost=process.downtime,
-                actions=(),
-                real_cost=process.downtime,
-            )
-        outcome = drive(
-            ReplayEnvironment(self, process),
-            policy,
-            origin=origin,
-            telemetry=telemetry,
-        )
-        return self._to_replay_result(outcome, process)
+        """Drive ``policy`` through ``process`` until cured or unhandled."""
+        return self.replay_many(
+            [process], policy, origin=origin, telemetry=telemetry
+        )[0]
 
     def replay_many(
         self,
@@ -536,36 +483,50 @@ class SimulationPlatform:
         :attr:`~repro.policies.base.Policy.batch_safe`) are decided via
         one :meth:`~repro.policies.base.Policy.decide_batch` call per
         lockstep wave of concurrent sessions; per-process results are
-        bit-identical to sequential :meth:`replay` calls.  Policies with
-        internal RNG fall back to sequential driving automatically.
+        bit-identical to replaying one process at a time.  Policies with
+        internal RNG are driven one process at a time automatically.
         Results — and telemetry, when given — follow input order.
         """
-        driven_envs = []
-        driven_positions = []
-        results: List[Optional[ReplayResult]] = [None] * len(processes)
-        traces: List[Optional[EpisodeTrace]] = [None] * len(processes)
-        for position, process in enumerate(processes):
-            if not process.attempts:
-                results[position] = ReplayResult(
-                    handled=True,
-                    cost=process.downtime,
-                    actions=(),
-                    real_cost=process.downtime,
-                )
-                traces[position] = self._self_healed_trace(process, origin)
-            else:
-                driven_envs.append(ReplayEnvironment(self, process))
-                driven_positions.append(position)
-        outcomes = drive_batch(driven_envs, policy, origin=origin)
-        for position, outcome in zip(driven_positions, outcomes):
-            results[position] = self._to_replay_result(
-                outcome, processes[position]
+        outcomes = iter(
+            drive_batch(
+                [ReplayEnvironment(self, p) for p in processes if p.attempts],
+                policy,
+                origin=origin,
             )
-            traces[position] = outcome.trace
-        # Every position was filled above; the None checks only narrow
-        # the Optional type.
-        if telemetry is not None:
-            for trace in traces:
-                if trace is not None:
-                    telemetry.on_episode(trace)
-        return [result for result in results if result is not None]
+        )
+        results = []
+        for process in processes:
+            if process.attempts:
+                outcome = next(outcomes)
+                trace = outcome.trace
+                handled = outcome.handled
+                results.append(
+                    ReplayResult(
+                        handled=handled,
+                        cost=outcome.cost if handled else float("nan"),
+                        actions=outcome.actions,
+                        real_cost=process.downtime,
+                        forced_manual=handled and outcome.forced_manual,
+                    )
+                )
+            else:
+                # Self-healed: nothing to decide; charge real downtime.
+                trace = EpisodeTrace(
+                    origin=origin,
+                    error_type=process.error_type,
+                    initial_cost=process.downtime,
+                    steps=(),
+                    handled=True,
+                    forced_manual=False,
+                )
+                results.append(
+                    ReplayResult(
+                        handled=True,
+                        cost=process.downtime,
+                        actions=(),
+                        real_cost=process.downtime,
+                    )
+                )
+            if telemetry is not None:
+                telemetry.on_episode(trace)
+        return results

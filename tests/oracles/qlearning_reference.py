@@ -11,9 +11,10 @@ benchmark can check the product against it bit for bit:
   catalog-order tie breaking and a full-rescan convergence check;
 * :class:`ReferenceTrainer` — the session-driven course: warm start along
   the logged actions through ``SimulationPlatform.step``, exploration
-  episodes through :func:`repro.session.driver.drive` with an
-  :class:`ExplorationPolicy` deciding each step, reverse-order updates,
-  and the sweep/convergence loop.
+  episodes through :func:`repro.session.driver.drive_batch`, one
+  environment at a time, with an :class:`ExplorationPolicy` deciding each
+  step and the transitions rebuilt from the episode trace, reverse-order
+  updates, and the sweep/convergence loop.
 
 Nothing here is tuned for speed.  Do not change its behaviour: it is the
 definition the product is measured against.
@@ -29,7 +30,7 @@ from repro.learning.qlearning import QLearningConfig, TypeTrainingResult
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy, PolicyDecision
 from repro.recoverylog.process import RecoveryProcess
-from repro.session.driver import drive
+from repro.session.driver import drive_batch
 from repro.session.environment import ReplayEnvironment
 from repro.session.trace import EpisodeTelemetry
 from repro.simplatform.platform import SimulationPlatform
@@ -380,18 +381,22 @@ class ReferenceTrainer:
     def run_episode(
         self, qtable: QTable, explorer, process: RecoveryProcess, sweep: int
     ) -> List[Transition]:
-        """One exploration episode through ``drive``; returns transitions."""
+        """One exploration episode through the driver; returns transitions."""
         policy = ExplorationPolicy(
             qtable, explorer, sweep, self.config.min_visits_per_action
         )
-        outcome = drive(
-            ReplayEnvironment(self.platform, process),
+        (outcome,) = drive_batch(
+            [ReplayEnvironment(self.platform, process)],
             policy,
             origin="training",
             telemetry=self.episode_telemetry,
-            record_transitions=True,
         )
-        trajectory = list(outcome.transitions)
+        trajectory: List[Transition] = []
+        state = RecoveryState.initial(process.error_type)
+        for step in outcome.trace.steps:
+            next_state = state.after(step.action, step.succeeded)
+            trajectory.append((state, step.action, step.cost, next_state))
+            state = next_state
         self.last_episode_delta = self.apply_updates(qtable, trajectory)
         return trajectory
 

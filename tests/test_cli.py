@@ -103,6 +103,32 @@ class TestTrainEvaluate:
         assert "hybrid" in out
 
 
+class TestTrainFraction:
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2", "nan"])
+    def test_out_of_range_fraction_is_error(
+        self, log_path, tmp_path, capsys, fraction
+    ):
+        policy_path = tmp_path / "policy.json"
+        code = main(
+            [
+                "train",
+                "--log", log_path,
+                "--out", str(policy_path),
+                f"--fraction={fraction}",
+            ]
+        )
+        assert code == 1
+        assert "--fraction must be in (0, 1]" in capsys.readouterr().err
+        assert not policy_path.exists()
+
+    def test_fraction_one_trains_on_the_whole_log(self, log_path, tmp_path):
+        paths = [tmp_path / "all.json", tmp_path / "default.json"]
+        base = ["train", "--log", log_path, "--top-k", "2"]
+        assert main(base + ["--out", str(paths[0]), "--fraction", "1.0"]) == 0
+        assert main(base + ["--out", str(paths[1])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestTrainParallelFlags:
     def test_train_reports_worker_count(self, log_path, tmp_path, capsys):
         policy_path = tmp_path / "policy.json"

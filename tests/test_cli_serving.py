@@ -84,6 +84,47 @@ class TestServe:
         assert [r["fell_back"] for r in records] == [False, False, True]
         assert "serving 2 rules" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "query,field",
+        [
+            ({"error_type": "error:X", "tried": "REBOOT"}, "tried"),
+            ({"error_type": None, "tried": []}, "error_type"),
+            ({"error_type": "error:X", "tried": [1]}, "tried"),
+        ],
+        ids=["tried-string", "error-type-null", "tried-non-str"],
+    )
+    def test_queries_mode_rejects_mistyped_fields(
+        self, policy_path, tmp_path, capsys, query, field
+    ):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(
+            json.dumps({"error_type": "error:X", "tried": []})
+            + "\n"
+            + json.dumps(query)
+            + "\n"
+        )
+        code = main(
+            [
+                "serve",
+                "--policy", policy_path,
+                "--queries", str(queries),
+                "--out", str(tmp_path / "answers.jsonl"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{queries}:2: " in err
+        assert f"field '{field}'" in err
+
+    def test_queries_mode_rejects_bad_json(self, policy_path, tmp_path, capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("{not json\n")
+        code = main(
+            ["serve", "--policy", policy_path, "--queries", str(queries)]
+        )
+        assert code == 1
+        assert f"{queries}:1: " in capsys.readouterr().err
+
     def test_serve_accepts_json_policy_directly(
         self, policy_path, tmp_path, capsys
     ):

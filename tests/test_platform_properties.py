@@ -2,7 +2,9 @@
 
 Random ladder-shaped recovery-process ensembles are generated, and the
 platform's structural invariants are checked: self-replay exactness,
-termination under arbitrary proper policies, and cost positivity.
+termination under arbitrary proper policies, and cost positivity.  The
+platform's step is checked against the frozen ``covers``-based
+reference step in ``tests/oracles/replay_reference.py``.
 """
 
 import pytest
@@ -10,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_process
+from oracles.replay_reference import reference_step
 from repro.actions import default_catalog
+from repro.mdp.state import RecoveryState
 from repro.policies import (
     AlwaysCheapestPolicy,
     AlwaysStrongestPolicy,
     RandomPolicy,
     UserDefinedPolicy,
 )
-from repro.simplatform.platform import SimulationPlatform
+from repro.simplatform.platform import CostMode, SimulationPlatform
 
 CATALOG = default_catalog()
 LADDER = ["TRYNOP", "REBOOT", "REBOOT", "REIMAGE", "RMA"]
@@ -95,3 +99,75 @@ class TestPlatformProperties:
             first = platform.replay(process, policy)
             second = platform.replay(process, policy)
             assert first == second
+
+
+NAMES = CATALOG.names()
+
+
+@st.composite
+def step_cases(draw):
+    """A platform ensemble, one of its processes, a tried prefix, an action."""
+    sequences = draw(
+        st.lists(
+            st.lists(st.sampled_from(NAMES), min_size=1, max_size=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    processes = [
+        make_process(
+            sequence,
+            machine=f"m-{i:03d}",
+            error_type=draw(st.sampled_from(["error:X", "error:Y"])),
+            start=i * 1_000_000.0,
+            durations=draw(
+                st.lists(
+                    st.sampled_from([120.0, 300.0, 2_700.0, 7_200.0]),
+                    min_size=len(sequence),
+                    max_size=len(sequence),
+                )
+            ),
+        )
+        for i, sequence in enumerate(sequences)
+    ]
+    max_actions = draw(st.integers(min_value=2, max_value=20))
+    process = draw(st.sampled_from(processes))
+    tried = draw(
+        st.lists(st.sampled_from(NAMES), max_size=max_actions - 1)
+    )
+    return (
+        processes,
+        process,
+        RecoveryState(process.error_type, tried=tuple(tried)),
+        draw(st.sampled_from(NAMES)),
+        max_actions,
+    )
+
+
+class TestStepMatchesReference:
+    """The compiled-view step equals the frozen ``covers``-based step."""
+
+    @given(
+        case=step_cases(),
+        cost_mode=st.sampled_from(list(CostMode)),
+        last_action_only=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_step_equals_reference(self, case, cost_mode, last_action_only):
+        processes, process, state, action, max_actions = case
+        platform = SimulationPlatform(
+            processes,
+            CATALOG,
+            cost_mode=cost_mode,
+            last_action_only=last_action_only,
+            max_actions=max_actions,
+        )
+        assert platform.step(process, state, action) == reference_step(
+            process,
+            state,
+            action,
+            catalog=CATALOG,
+            stats=platform.stats,
+            cost_mode=cost_mode,
+            last_action_only=last_action_only,
+        )

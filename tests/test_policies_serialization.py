@@ -10,8 +10,12 @@ from repro.mdp.state import RecoveryState
 from repro.policies.serialization import (
     load_policy,
     load_qtable,
+    qtable_from_payload,
+    qtable_to_payload,
     save_policy,
     save_qtable,
+    state_from_record,
+    state_to_record,
 )
 from repro.policies.trained import TrainedPolicy
 
@@ -230,3 +234,105 @@ class TestEndToEndDeployment:
         assert reloaded.overall_relative_cost == pytest.approx(
             original.overall_relative_cost
         )
+
+
+#: State records that must not load: (id, record, the field named).
+BAD_STATE_RECORDS = [
+    ("tried-string", {"error_type": "error:X", "tried": "REBOOT"}, "tried"),
+    ("tried-missing", {"error_type": "error:X"}, "tried"),
+    ("tried-non-str", {"error_type": "error:X", "tried": ["REBOOT", 7]},
+     "tried"),
+    ("tried-object", {"error_type": "error:X", "tried": {"a": 1}}, "tried"),
+    ("error-type-null", {"error_type": None, "tried": []}, "error_type"),
+    ("error-type-number", {"error_type": 3, "tried": []}, "error_type"),
+    ("error-type-list", {"error_type": ["error:X"], "tried": []},
+     "error_type"),
+    ("error-type-empty", {"error_type": "", "tried": []}, "error_type"),
+    ("error-type-missing", {"tried": []}, "error_type"),
+]
+BAD_STATE_IDS = [case for case, _record, _field in BAD_STATE_RECORDS]
+
+
+class TestStateRecords:
+    """Every state parser rejects mistyped fields instead of coercing."""
+
+    def test_round_trip(self):
+        for state in (S0, S1):
+            assert state_from_record(state_to_record(state)) == state
+
+    @pytest.mark.parametrize(
+        "case,record,field", BAD_STATE_RECORDS, ids=BAD_STATE_IDS
+    )
+    def test_state_from_record_names_the_field(self, case, record, field):
+        with pytest.raises(LogFormatError, match=f"field '{field}'"):
+            state_from_record(record)
+
+    @pytest.mark.parametrize("value", NON_OBJECT_VALUES, ids=json.dumps)
+    def test_non_object_record_rejected(self, value):
+        with pytest.raises(LogFormatError, match="not an object"):
+            state_from_record(value)
+
+    @pytest.mark.parametrize(
+        "case,record,field", BAD_STATE_RECORDS, ids=BAD_STATE_IDS
+    )
+    def test_policy_json_rejects(self, tmp_path, policy, case, record, field):
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        payload = json.loads(path.read_text())
+        payload["rules"][0] = dict(
+            record, action="REIMAGE", expected_cost=1.0
+        )
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LogFormatError) as caught:
+            load_policy(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert f"field '{field}'" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "case,record,field", BAD_STATE_RECORDS, ids=BAD_STATE_IDS
+    )
+    def test_qtable_payload_rejects(self, tmp_path, case, record, field):
+        table = QTable(ACTIONS)
+        table.update(S0, "REBOOT", 10.0)
+        payload = qtable_to_payload(table)
+        payload["entries"][0] = dict(
+            record, action="REBOOT", value=10.0, visits=1
+        )
+        with pytest.raises(LogFormatError, match=f"field '{field}'"):
+            qtable_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "case,record,field", BAD_STATE_RECORDS, ids=BAD_STATE_IDS
+    )
+    def test_checkpoint_with_bad_rule_state_is_stale(
+        self, tmp_path, case, record, field
+    ):
+        from repro.learning.checkpoint import CheckpointStore, TypeCheckpoint
+        from repro.learning.qlearning import TypeTrainingResult
+
+        table = QTable(ACTIONS)
+        table.update(S0, "REBOOT", 10.0)
+        store = CheckpointStore(tmp_path, fingerprint="f")
+        path = store.save(
+            TypeCheckpoint(
+                error_type="error:X",
+                training=TypeTrainingResult(
+                    error_type="error:X",
+                    qtable=table,
+                    sweeps_run=1,
+                    sweeps_to_convergence=1,
+                    converged=True,
+                    episodes=1,
+                ),
+                rules={S0: ("REBOOT", 10.0)},
+                expected_cost=10.0,
+                candidates_evaluated=1,
+                wall_clock=0.0,
+            )
+        )
+        assert store.load("error:X") is not None
+        payload = json.loads(path.read_text())
+        payload["rules"][0] = dict(record, action="REBOOT", expected_cost=1.0)
+        path.write_text(json.dumps(payload))
+        # A hand-edited checkpoint is retrained, never misread.
+        assert store.load("error:X") is None

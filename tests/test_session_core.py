@@ -1,4 +1,4 @@
-"""Unit tests of the recovery-session core, drivers and batch deciding."""
+"""Unit tests of the recovery-session core, its driver and batch deciding."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.errors import (
     UnhandledStateError,
 )
 from repro.mdp.state import RecoveryState
-from repro.policies.base import Policy, PolicyDecision
 from repro.policies.hybrid import HybridPolicy
 from repro.policies.static import AlwaysCheapestPolicy, RandomPolicy
 from repro.policies.trained import TrainedPolicy
@@ -24,7 +23,8 @@ from repro.session import (
     ExecutionResult,
     RecoverySession,
     ReplayEnvironment,
-    drive,
+    SessionDecision,
+    decide_wave,
     drive_batch,
     forced_action,
 )
@@ -142,42 +142,50 @@ class TestRecoverySession:
         with pytest.raises(SimulationError):
             session.next_action()
 
-    def test_transitions_recorded_on_request(self):
-        session = self.make_session(record_transitions=True)
-        session.next_action()
-        session.record_outcome(7.0, True)
-        ((state, action, cost, next_state),) = session.transitions
-        assert state == RecoveryState.initial("error:X")
-        assert cost == pytest.approx(7.0)
-        assert next_state.is_terminal
-
-    def test_batched_resolve_and_force_pending(self):
+    def test_record_outcome_returns_the_successor(self):
         session = self.make_session()
-        decision = session.resolve(
-            PolicyDecision(action="REBOOT", source="test")
+        decision = session.next_action()
+        state = session.record_outcome(7.0, True)
+        assert state == RecoveryState.initial("error:X").after(
+            decision.action, True
         )
-        assert decision is not None and decision.action == "REBOOT"
+        assert state.is_terminal and session.state is state
+
+    def test_adopt_wave_decisions(self):
+        session = self.make_session()
+        decision = SessionDecision(
+            action="REBOOT", forced=False, source="test"
+        )
+        assert session.adopt(decision) is decision
         session.record_outcome(1.0, False)
         for _ in range(3):
             session.next_action()
             session.record_outcome(1.0, False)
-        forced = session.force_pending()
+        (forced,) = decide_wave(
+            session.policy, [session.state], [session.forced_action()]
+        )
+        assert session.adopt(forced) is forced
         assert forced.forced and forced.action == "RMA"
+        session.record_outcome(1.0, True)
+        assert session.forced_manual
 
-    def test_resolve_unhandled_aborts(self):
+    def test_adopt_unhandled_aborts(self):
         session = self.make_session()
-        assert session.resolve(UnhandledStateError("none")) is None
+        assert session.adopt(UnhandledStateError("none")) is None
         assert session.done and not session.handled
 
-    def test_force_pending_before_cap_raises(self):
+    def test_adopt_pending_discipline(self):
         session = self.make_session()
+        decision = SessionDecision(action="TRYNOP", forced=False, source="t")
+        session.adopt(decision)
         with pytest.raises(SimulationError):
-            session.force_pending()
+            session.adopt(decision)
+        session.record_outcome(1.0, True)
+        with pytest.raises(SimulationError):
+            session.adopt(decision)
 
     def test_trace_schema(self):
-        session = self.make_session(
-            origin="unit", initial_cost=2.0, record_transitions=True
-        )
+        session = self.make_session(origin="unit", initial_cost=2.0)
         session.next_action()
         session.record_outcome(5.0, True, matched_log=True)
         trace = session.trace()
@@ -191,9 +199,13 @@ class TestRecoverySession:
 
 
 class TestDrive:
+    """Driving one environment is ``drive_batch([environment])``."""
+
     def test_drive_runs_to_success(self):
         environment = ScriptedEnvironment(succeed_after=2)
-        outcome = drive(environment, UserDefinedPolicy(), origin="unit")
+        (outcome,) = drive_batch(
+            [environment], UserDefinedPolicy(), origin="unit"
+        )
         assert outcome.handled
         assert outcome.cost == pytest.approx(3.0 + 2 * 10.0)
         assert outcome.trace.origin == "unit"
@@ -201,21 +213,21 @@ class TestDrive:
 
     def test_drive_caps_at_max_actions(self):
         environment = ScriptedEnvironment(succeed_after=5)
-        outcome = drive(environment, UserDefinedPolicy())
+        (outcome,) = drive_batch([environment], UserDefinedPolicy())
         assert outcome.forced_manual
         assert len(outcome.actions) == 5
         assert outcome.actions[-1] == "RMA"
 
     def test_drive_unhandled(self):
         environment = ScriptedEnvironment(succeed_after=1)
-        outcome = drive(environment, TrainedPolicy({}))
+        (outcome,) = drive_batch([environment], TrainedPolicy({}))
         assert not outcome.handled
         assert outcome.actions == ()
 
     def test_drive_fires_telemetry(self):
         telemetry = CountingTelemetry()
-        drive(
-            ScriptedEnvironment(succeed_after=1),
+        drive_batch(
+            [ScriptedEnvironment(succeed_after=1)],
             UserDefinedPolicy(),
             origin="unit",
             telemetry=telemetry,
@@ -226,6 +238,7 @@ class TestDrive:
 
 class TestDriveBatch:
     def test_matches_sequential_drive(self, catalog):
+        """One batch of N equals N batches of one."""
         environments = [
             ScriptedEnvironment(succeed_after=n) for n in (1, 3, 7, 2)
         ]
@@ -234,8 +247,8 @@ class TestDriveBatch:
         environments2 = [
             ScriptedEnvironment(succeed_after=n) for n in (1, 3, 7, 2)
         ]
-        sequential = [drive(e, policy) for e in environments2]
-        for got, want in zip(batched, sequential):
+        singles = [drive_batch([e], policy)[0] for e in environments2]
+        for got, want in zip(batched, singles):
             assert got.actions == want.actions
             assert got.cost == want.cost
             assert got.handled == want.handled
@@ -260,6 +273,7 @@ class TestDriveBatch:
         assert not second.handled
 
     def test_rng_policy_falls_back_to_sequential(self, catalog):
+        """``batch_safe = False`` runs as batches of one, in input order."""
         assert RandomPolicy.batch_safe is False
         environments = [
             ScriptedEnvironment(succeed_after=n) for n in (2, 3)
@@ -272,11 +286,9 @@ class TestDriveBatch:
         # One fresh same-seed policy shared across episodes, exactly as
         # the batched call shares its policy instance.
         reference = RandomPolicy(catalog, seed=7)
-        sequential = [drive(e, reference) for e in environments2]
-        # Sequential fallback preserves the RNG draw order exactly.
-        assert [o.actions for o in batched] == [
-            o.actions for o in sequential
-        ]
+        singles = [drive_batch([e], reference)[0] for e in environments2]
+        # Input-order episodes preserve the RNG draw order exactly.
+        assert [o.actions for o in batched] == [o.actions for o in singles]
 
     def test_telemetry_fires_in_input_order(self, catalog):
         telemetry = CountingTelemetry()
@@ -330,6 +342,18 @@ class TestDecideBatch:
         assert batched.fallback_rate == looped.fallback_rate
         assert batched.fallback_rate == pytest.approx(0.5)
 
+    def test_hybrid_improper_fallback_returns_the_error(self):
+        states = self.states()
+        rules = {states[0]: ("TRYNOP", 12.0)}
+        batched = HybridPolicy(TrainedPolicy(rules), TrainedPolicy({}))
+        looped = HybridPolicy(TrainedPolicy(rules), TrainedPolicy({}))
+        decision, miss = batched.decide_batch(states)
+        assert decision == looped.decide(states[0])
+        assert isinstance(miss, UnhandledStateError)
+        with pytest.raises(UnhandledStateError):
+            looped.decide(states[1])
+        assert batched.fallback_rate == looped.fallback_rate
+
     def test_hybrid_batch_safe_tracks_components(self, catalog):
         deterministic = HybridPolicy(
             TrainedPolicy({}), UserDefinedPolicy(catalog)
@@ -358,7 +382,7 @@ class TestReplayEnvironment:
         )
         assert result.cost == expected.cost
         assert result.succeeded == expected.succeeded
-        assert result.next_state == expected.next_state
+        assert result.matched_log == expected.matched_log
 
     def test_platform_forced_action_delegates_to_core(self, catalog):
         processes = ladder_processes("error:X", [(["REBOOT", "RMA"], 2)])

@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import ladder_processes, make_process, trainer_episode
+from oracles.replay_reference import reference_step
 from repro.actions import default_catalog
 from repro.errors import SimulationError
 from repro.mdp.state import RecoveryState
@@ -243,29 +244,55 @@ class TestForcedActionCap:
 
 
 class TestRequiredStrengthsCache:
+    """Required strengths live in the compiled view, one entry per
+    process of the platform's own ensemble; the step accepts nothing
+    else."""
+
     def test_precomputed_for_the_ensemble_by_value(self):
+        from repro.simplatform.hypotheses import required_strengths
+
         processes = ladder_processes(
             "error:X", [(["TRYNOP", "REBOOT"], 3), (["REIMAGE"], 2)]
         )
         platform = platform_for(processes)
-        assert set(platform._required_by_process) == set(processes)
+        compiled = platform.compiled()
+        strengths = [a.strength for a in CATALOG.by_strength()]
+        for process in processes:
+            required_ge = compiled.required_ge[platform.process_index(process)]
+            required = required_strengths(process, CATALOG)
+            assert required_ge == tuple(
+                sum(1 for r in required if r >= strength)
+                for strength in strengths
+            )
 
     def test_value_equal_duplicates_share_one_entry(self):
         process = make_process(["TRYNOP", "REBOOT"])
         duplicate = make_process(["TRYNOP", "REBOOT"])
         assert process == duplicate and process is not duplicate
         platform = platform_for([process, duplicate])
-        assert len(platform._required_by_process) == 1
-
-    def test_foreign_process_replays_without_growing_the_cache(self):
-        platform = platform_for([make_process(["TRYNOP", "REBOOT"])])
-        foreign = make_process(["REIMAGE"], machine="m-foreign")
-        before = dict(platform._required_by_process)
-        outcome = platform.step(
-            foreign, RecoveryState.initial("error:X"), "REIMAGE"
+        assert platform.process_index(duplicate) == 0
+        state = RecoveryState.initial("error:X")
+        assert platform.step(duplicate, state, "REBOOT") == platform.step(
+            process, state, "REBOOT"
         )
-        assert outcome.succeeded
-        assert platform._required_by_process == before
+
+    def test_foreign_process_is_rejected_by_name(self):
+        platform = platform_for([make_process(["TRYNOP", "REBOOT"])])
+        foreign = make_process(["REIMAGE"], machine="m-foreign", start=5.0)
+        with pytest.raises(SimulationError, match="'m-foreign'.*5.0"):
+            platform.step(
+                foreign, RecoveryState.initial("error:X"), "REIMAGE"
+            )
+
+    def test_unknown_proposed_action_surfaces_at_first_step(self):
+        from repro.errors import UnknownActionError
+
+        process = make_process(["REBOOT"])
+        platform = platform_for([process])
+        with pytest.raises(UnknownActionError):
+            platform.step(
+                process, RecoveryState.initial("error:X"), "FROBNICATE"
+            )
 
     def test_unknown_logged_action_surfaces_at_first_step(self):
         from repro.errors import UnknownActionError
@@ -331,12 +358,18 @@ class TestCompiledReplay:
         platform = self._platform()
         compiled = platform.compiled()
         names = compiled.actions
+
+        def reference(process, state, action):
+            return reference_step(
+                process, state, action, catalog=CATALOG, stats=platform.stats
+            )
+
         for pidx, process in enumerate(platform.processes):
             # Walk every two-action prefix; compare the compiled success
             # decision against the reference ``covers``-based step.
             for first in range(compiled.n_actions):
                 state = RecoveryState.initial(process.error_type)
-                outcome = platform.step(process, state, names[first])
+                outcome = reference(process, state, names[first])
                 counts = [0] * compiled.n_actions
                 counts[first] += 1
                 assert _fast_succeeds(compiled, pidx, counts) == (
@@ -345,7 +378,7 @@ class TestCompiledReplay:
                 if outcome.succeeded:
                     continue
                 for second in range(compiled.n_actions):
-                    follow = platform.step(
+                    follow = reference(
                         process, outcome.next_state, names[second]
                     )
                     counts2 = list(counts)
