@@ -231,9 +231,13 @@ def _read_header(path: Path) -> Tuple[Dict[str, object], int]:
                 f"(this build reads version {_CONTAINER_VERSION})"
             )
         header_len = int.from_bytes(handle.read(8), "little")
+        available = os.fstat(handle.fileno()).st_size - handle.tell()
+        if header_len > available:
+            raise LogFormatError(
+                f"{path}: truncated header: header_len {header_len} "
+                f"exceeds the {available} bytes after it"
+            )
         header_bytes = handle.read(header_len)
-        if len(header_bytes) != header_len:
-            raise LogFormatError(f"{path}: truncated header")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -3,9 +3,9 @@
 One state machine (:class:`RecoverySession`), one cap rule
 (:func:`forced_action`), one decision rule (:func:`decide_wave`), one
 trace schema (:class:`EpisodeTrace`), and one synchronous driver
-(:func:`drive_batch`) behind a small :class:`Environment` protocol.  Log
-replay, policy evaluation and online cluster recovery execute through
-this package; training runs on the platform's compiled replay view.
+(:func:`drive_batch`) behind a small :class:`Environment` protocol.
+Online cluster recovery executes through this package; training and
+held-out replay run on the platform's compiled replay view.
 """
 
 from repro.session.core import (

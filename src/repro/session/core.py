@@ -6,9 +6,9 @@ observe the outcome, stop at the ``N`` = 20 action cap.  Historically the
 repo re-implemented that loop in four places (platform replay, the
 evaluator, the cluster simulator's online recovery, the trainer's
 episode loop), each enforcing the cap and emitting telemetry slightly
-differently.  :class:`RecoverySession` is the one implementation replay,
-evaluation and online recovery share; training steps the platform's
-compiled replay view and asks :func:`forced_action` for the cap.
+differently.  :class:`RecoverySession` is the one implementation online
+recovery runs; training and held-out replay step the platform's
+compiled replay view and ask :func:`forced_action` for the cap.
 
 The session is deliberately a *state machine*, not a closed loop:
 a decision is adopted (:meth:`RecoverySession.adopt`) and

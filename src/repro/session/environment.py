@@ -10,9 +10,9 @@ simulated time; everything else adapts here.
 
 :class:`ReplayEnvironment` is the adapter for counterfactual log replay
 (one :class:`~repro.recoverylog.process.RecoveryProcess` on a
-:class:`~repro.simplatform.platform.SimulationPlatform`), used by
-``SimulationPlatform.replay_many`` and through it the policy evaluator,
-the validation and ablation replays and ``SimulationPlatform.replay``.
+:class:`~repro.simplatform.platform.SimulationPlatform`), for online
+recovery over a replay platform.  ``SimulationPlatform.replay_many``
+and the evaluator behind it step the platform's compiled view instead.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Structured per-step episode traces and the observer hook they feed.
 
-Every object-path episode loop — log replay, policy evaluation, online
-cluster recovery — runs through
-:class:`~repro.session.core.RecoverySession`, which records one
+Every episode loop that reports telemetry — log replay, policy
+evaluation, online cluster recovery through
+:class:`~repro.session.core.RecoverySession` — records one
 :class:`StepTrace` per executed action and closes the episode with an
 :class:`EpisodeTrace`.  The schema is the single observability record
 the ROADMAP's serving-scale direction needs: uniform across origins, so

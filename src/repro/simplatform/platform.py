@@ -7,9 +7,9 @@ by the required-action hypotheses
 logged duration when the proposal matches the log at that position, or the
 learned average otherwise.  The step is decided on the platform's
 integer-indexed :class:`CompiledReplay` view, the same step the training
-loop and the selection tree run.  :meth:`replay_many` drives a full
-policy through processes, enforcing the paper's ``N``-action cap by
-forcing the manual repair on the final slot.
+loop and the selection tree run.  :meth:`replay_many` drives a policy
+through processes in waves over that view, enforcing the paper's
+``N``-action cap by forcing the manual repair on the final slot.
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ from repro.actions.action import ActionCatalog
 from repro.errors import (
     ConfigurationError,
     SimulationError,
+    UnhandledStateError,
     UnknownActionError,
 )
-from repro.mdp.state import RecoveryState
+from repro.mdp.state import RecoveryState, StateIndex
 from repro.policies.base import Policy
 from repro.recoverylog.process import RecoveryProcess
+from repro.session.core import decide_wave
 from repro.session.core import forced_action as cap_forced_action
-from repro.session.driver import drive_batch
-from repro.session.environment import ReplayEnvironment
-from repro.session.trace import EpisodeTelemetry, EpisodeTrace
+from repro.session.trace import EpisodeTelemetry, EpisodeTrace, StepTrace
 from repro.simplatform.coststats import CostStatistics
 from repro.simplatform.hypotheses import required_strengths
 
@@ -429,18 +429,11 @@ class SimulationPlatform:
                 f"state error type {state.error_type!r} does not match "
                 f"process error type {process.error_type!r}"
             )
-        pidx = self.process_index(process)
+        pidx, aid = self._check_step(process, action_name)
         compiled = self.compiled()
-        aid = self._action_id(action_name)
         executed = [0] * compiled.n_actions
         for name in state.tried:
             executed[self._action_id(name)] += 1
-        if compiled.required_ge[pidx] is None:
-            # The process logs an action outside the catalog: raise the
-            # catalog's UnknownActionError for it.
-            required_strengths(
-                process, self._catalog, last_action_only=self._last_action_only
-            )
         depth = state.attempt_count
         cost, succeeded = compiled.step(pidx, depth, aid, executed)
         return StepOutcome(
@@ -449,6 +442,18 @@ class SimulationPlatform:
             succeeded=succeeded,
             matched_log=compiled.matched_log(pidx, depth, aid, succeeded),
         )
+
+    def _check_step(
+        self, process: RecoveryProcess, action_name: str
+    ) -> Tuple[int, int]:
+        """``(process index, action id)``, raising what :meth:`step` does."""
+        pidx = self.process_index(process)
+        aid = self._action_id(action_name)
+        if self.compiled().required_ge[pidx] is None:
+            required_strengths(
+                process, self._catalog, last_action_only=self._last_action_only
+            )
+        return pidx, aid
 
     def _action_id(self, name: str) -> int:
         aid = self._action_ids.get(name)
@@ -477,56 +482,110 @@ class SimulationPlatform:
         origin: str = "replay",
         telemetry: Optional[EpisodeTelemetry] = None,
     ) -> List[ReplayResult]:
-        """Replay many processes, batching policy decisions per wave.
+        """Replay many processes in lockstep waves on the compiled view.
 
-        Batch-safe policies (deterministic ones — see
-        :attr:`~repro.policies.base.Policy.batch_safe`) are decided via
-        one :meth:`~repro.policies.base.Policy.decide_batch` call per
-        lockstep wave of concurrent sessions; per-process results are
-        bit-identical to replaying one process at a time.  Policies with
-        internal RNG are driven one process at a time automatically.
-        Results — and telemetry, when given — follow input order.
+        Each wave is decided by one :func:`~repro.session.core.decide_wave`
+        call over the open replays' interned states, so the policy sees
+        the ``decide_batch`` calls one session per process would give it;
+        each decision runs :meth:`CompiledReplay.step`.  Policies with
+        internal RNG (``batch_safe`` False) are driven one process at a
+        time.  Results and telemetry follow input order; step traces are
+        built only when ``telemetry`` is given.
         """
-        outcomes = iter(
-            drive_batch(
-                [ReplayEnvironment(self, p) for p in processes if p.attempts],
-                policy,
-                origin=origin,
+        compiled = self.compiled()
+        index = StateIndex(compiled.actions)
+        initial = {  # one interned initial state per error type
+            t: index.intern(RecoveryState.initial(t))
+            for t in dict.fromkeys(p.error_type for p in processes)
+        }
+        replays = [_Replay(self, p, initial[p.error_type]) for p in processes]
+        # Self-healed records are final: initial cost is the downtime.
+        waiting = [r for r in replays if r.process.attempts]
+        groups = [waiting] if policy.batch_safe else [[r] for r in waiting]
+        for active in groups:
+            while active:
+                decisions = decide_wave(
+                    policy,
+                    [index.state(r.sid) for r in active],
+                    [self.forced_action(r.depth) for r in active],
+                )
+                still_active = []
+                for replay, decision in zip(active, decisions):
+                    if isinstance(decision, UnhandledStateError):
+                        replay.handled = False
+                        continue
+                    aid = self._action_ids.get(decision.action)
+                    if replay.depth == 0 or aid is None:
+                        replay.pidx, aid = self._check_step(
+                            replay.process, decision.action
+                        )
+                    cost, succeeded = compiled.step(
+                        replay.pidx, replay.depth, aid, replay.executed
+                    )
+                    replay.cost += cost
+                    replay.forced = replay.forced or decision.forced
+                    if telemetry is not None:
+                        replay.steps += (
+                            StepTrace(
+                                step=replay.depth,
+                                attempt_count=replay.depth,
+                                action=decision.action,
+                                source=decision.source,
+                                forced=decision.forced,
+                                cost=cost,
+                                succeeded=succeeded,
+                                matched_log=compiled.matched_log(
+                                    replay.pidx, replay.depth, aid, succeeded
+                                ),
+                                expected_cost=decision.expected_cost,
+                            ),
+                        )
+                    replay.sid = index.successor(replay.sid, aid, succeeded)
+                    replay.depth += 1
+                    if not succeeded:
+                        still_active.append(replay)
+                active = still_active
+        if telemetry is not None:
+            for r in replays:
+                telemetry.on_episode(
+                    EpisodeTrace(
+                        origin=origin,
+                        error_type=r.process.error_type,
+                        initial_cost=self.initial_cost(r.process),
+                        steps=r.steps,
+                        handled=r.handled,
+                        forced_manual=r.forced,
+                    )
+                )
+        return [
+            ReplayResult(
+                handled=r.handled,
+                cost=r.cost if r.handled else float("nan"),
+                actions=index.state(r.sid).tried,
+                real_cost=r.process.downtime,
+                forced_manual=r.handled and r.forced,
             )
-        )
-        results = []
-        for process in processes:
-            if process.attempts:
-                outcome = next(outcomes)
-                trace = outcome.trace
-                handled = outcome.handled
-                results.append(
-                    ReplayResult(
-                        handled=handled,
-                        cost=outcome.cost if handled else float("nan"),
-                        actions=outcome.actions,
-                        real_cost=process.downtime,
-                        forced_manual=handled and outcome.forced_manual,
-                    )
-                )
-            else:
-                # Self-healed: nothing to decide; charge real downtime.
-                trace = EpisodeTrace(
-                    origin=origin,
-                    error_type=process.error_type,
-                    initial_cost=process.downtime,
-                    steps=(),
-                    handled=True,
-                    forced_manual=False,
-                )
-                results.append(
-                    ReplayResult(
-                        handled=True,
-                        cost=process.downtime,
-                        actions=(),
-                        real_cost=process.downtime,
-                    )
-                )
-            if telemetry is not None:
-                telemetry.on_episode(trace)
-        return results
+            for r in replays
+        ]
+
+
+class _Replay:
+    """One process's replay state in :meth:`SimulationPlatform.replay_many`."""
+
+    __slots__ = (
+        "process", "pidx", "sid", "depth", "executed", "cost", "forced",
+        "handled", "steps",
+    )
+
+    def __init__(
+        self, platform: SimulationPlatform, process: RecoveryProcess, sid: int
+    ) -> None:
+        self.process = process
+        self.pidx = -1  # resolved, and the process checked, at its first step
+        self.sid = sid
+        self.depth = 0
+        self.executed = [0] * platform.compiled().n_actions
+        self.cost = platform.initial_cost(process)
+        self.forced = False
+        self.handled = True
+        self.steps: Tuple[StepTrace, ...] = ()

@@ -13,6 +13,7 @@ from repro.evaluation.report import (
     render_totals,
 )
 from repro.learning.telemetry import EpisodeRecorder
+from repro.mdp.state import RecoveryState
 from repro.policies import (
     FixedSequencePolicy,
     TrainedPolicy,
@@ -143,6 +144,23 @@ class TestPolicyEvaluator:
         assert result.skipped == 5
         unrestricted = PolicyEvaluator(processes, CATALOG)
         assert unrestricted.evaluate(UserDefinedPolicy(CATALOG)).skipped == 0
+
+    def test_telemetry_does_not_change_results(self):
+        processes = hard_test_processes() + ladder_processes(
+            "error:Other", [(["TRYNOP"], 5)], machine_prefix="n"
+        )
+        evaluator = PolicyEvaluator(
+            processes, CATALOG, error_types=["error:Hard"]
+        )
+        partial = TrainedPolicy(
+            {RecoveryState.initial("error:Hard"): ("REBOOT", 900.0)}
+        )
+        for policy in (UserDefinedPolicy(CATALOG), partial):
+            plain = evaluator.evaluate(policy, train_fraction=0.4)
+            traced = evaluator.evaluate(
+                policy, train_fraction=0.4, telemetry=EpisodeRecorder()
+            )
+            assert traced == plain
 
     def test_telemetry_records_only_in_scope_episodes(self):
         processes = hard_test_processes() + ladder_processes(

@@ -116,6 +116,26 @@ class TestContainerFormat:
         with pytest.raises(LogFormatError):
             load_policy_binary(truncated)
 
+    @pytest.mark.parametrize("byte", range(12, 20))
+    def test_corrupt_header_length_is_a_format_error(self, tmp_path, byte):
+        """Bytes 12-19 hold the header length; flipping bit 6 of any of
+        them must raise a typed error naming the file, never reading or
+        allocating past the end of it."""
+        path = tmp_path / "one-rule.rpb"
+        save_policy_binary(TrainedPolicy({S0: ("REIMAGE", 7200.0)}), path)
+        blob = bytearray(path.read_bytes())
+        blob[byte] ^= 1 << 6
+        path.write_bytes(bytes(blob))
+        header_len = int.from_bytes(blob[12:20], "little")
+        past_end = header_len > len(blob) - 20
+        with pytest.raises(
+            LogFormatError, match="header_len" if past_end else "bad header"
+        ) as info:
+            load_policy_binary(path)
+        assert str(path) in str(info.value)
+        if past_end:
+            assert str(header_len) in str(info.value)
+
     def test_corrupt_payload_fails_verification(self, tmp_path, policy):
         path = tmp_path / "policy.rpb"
         save_policy_binary(policy, path)

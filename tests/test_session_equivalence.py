@@ -186,7 +186,7 @@ def policies_under_test():
 
 
 class TestReplayEquivalence:
-    """platform.replay (session-driven) == the frozen reference loop."""
+    """platform.replay (compiled wave loop) == the frozen reference loop."""
 
     @pytest.mark.parametrize(
         "policy_index", range(len(policies_under_test()))

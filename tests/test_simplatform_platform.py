@@ -5,7 +5,7 @@ import pytest
 from helpers import ladder_processes, make_process, trainer_episode
 from oracles.replay_reference import reference_step
 from repro.actions import default_catalog
-from repro.errors import SimulationError
+from repro.errors import SimulationError, UnknownActionError
 from repro.mdp.state import RecoveryState
 from repro.policies import (
     AlwaysStrongestPolicy,
@@ -13,6 +13,7 @@ from repro.policies import (
     TrainedPolicy,
     UserDefinedPolicy,
 )
+from repro.policies.base import PolicyDecision
 from repro.simplatform.platform import CostMode, SimulationPlatform
 
 CATALOG = default_catalog()
@@ -314,6 +315,45 @@ class TestRequiredStrengthsCache:
             platform.step(
                 weird, RecoveryState.initial("error:X"), "REBOOT"
             )
+
+
+class _NamesUnknownAction(UserDefinedPolicy):
+    """Proposes an action outside the catalog after one logged step."""
+
+    def decide(self, state):
+        if state.attempt_count == 0:
+            return super().decide(state)
+        return PolicyDecision(action="FROBNICATE", source="test")
+
+
+class TestReplayManyErrors:
+    """``replay_many`` raises what stepping each process would raise,
+    at the step that would raise it."""
+
+    def test_policy_action_outside_catalog(self):
+        process = make_process(["TRYNOP", "REBOOT"])
+        platform = platform_for([process])
+        with pytest.raises(UnknownActionError, match="FROBNICATE"):
+            platform.replay_many([process], _NamesUnknownAction(CATALOG))
+
+    def test_unknown_logged_action_raises_at_first_step(self):
+        weird = make_process(["FROBNICATE"], machine="m-weird")
+        platform = platform_for([weird, make_process(["REBOOT"])])
+        with pytest.raises(UnknownActionError, match="FROBNICATE"):
+            platform.replay_many([weird], AlwaysStrongestPolicy(CATALOG))
+
+    def test_unknown_logged_action_is_silent_when_never_stepped(self):
+        weird = make_process(["FROBNICATE"])
+        platform = platform_for([weird])
+        (result,) = platform.replay_many([weird], TrainedPolicy({}))
+        assert not result.handled
+        assert result.actions == ()
+
+    def test_foreign_process_is_rejected_by_name(self):
+        platform = platform_for([make_process(["TRYNOP", "REBOOT"])])
+        foreign = make_process(["REIMAGE"], machine="m-foreign", start=5.0)
+        with pytest.raises(SimulationError, match="'m-foreign'.*5.0"):
+            platform.replay_many([foreign], UserDefinedPolicy(CATALOG))
 
 
 def _fast_succeeds(compiled, pidx, executed_counts):
