@@ -19,7 +19,10 @@ Standalone by design (CI runs it outside pytest)::
         --check BENCH_fleet_scale.json
 
 The committed ``BENCH_fleet_scale.json`` at the repo root holds the
-``full`` profile's numbers.  Schema::
+``full`` profile's numbers.  ``--against FILE`` guards the scale leg's
+machines/s against such an artifact through ``benchguard.run_guard``
+(same ``machines`` and ``days`` required, ``--max-overhead`` loss
+tolerated).  Schema::
 
     {"bench": "fleet_scale", "commit": "<sha>", "metrics": {...}}
 """
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -41,6 +43,8 @@ from repro.cluster.fleet import FleetEngine
 from repro.policies import UserDefinedPolicy
 from repro.util.rng import RngStreams
 from repro.util.tables import render_table
+
+import benchguard
 
 BENCH_NAME = "fleet_scale"
 DAY = 86_400.0
@@ -67,19 +71,6 @@ PROFILES = {
         "min_speedup": 5.0,
     },
 }
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def bench_faults() -> FaultCatalog:
@@ -268,48 +259,10 @@ def check_payload(payload: Dict[str, object]) -> List[str]:
     return problems
 
 
-def check_overhead(
-    metrics: Dict[str, object],
-    baseline: Dict[str, object],
-    *,
-    max_overhead: float = 0.05,
-) -> List[str]:
-    """Regression guard: throughput loss vs a baseline artifact.
-
-    Compares this run's scale-leg ``machines_per_s`` against the
-    committed baseline (the pre-refactor fleet numbers); a loss beyond
-    ``max_overhead`` is a failure.  Both runs must measure the same
-    scale leg, otherwise the ratio is meaningless.
-    """
-    problems = []
-    base_metrics = baseline.get("metrics")
-    if not isinstance(base_metrics, dict):
-        return ["baseline has no metrics object"]
-    base_scale = base_metrics.get("scale")
-    scale = metrics.get("scale")
-    if not isinstance(base_scale, dict) or not isinstance(scale, dict):
-        return ["both artifacts need a metrics.scale object"]
-    for key in ("machines", "days"):
-        if base_scale.get(key) != scale.get(key):
-            problems.append(
-                f"scale legs differ on {key}: baseline "
-                f"{base_scale.get(key)} vs current {scale.get(key)}; "
-                "overhead comparison needs identical workloads"
-            )
-    if problems:
-        return problems
-    base_rate = base_scale.get("machines_per_s")
-    rate = scale.get("machines_per_s")
-    if not isinstance(base_rate, (int, float)) or base_rate <= 0:
-        return ["baseline scale.machines_per_s must be positive"]
-    overhead = (base_rate - rate) / base_rate
-    if overhead > max_overhead:
-        problems.append(
-            f"scale throughput {rate:,} machines/s is "
-            f"{overhead:.1%} below the baseline {base_rate:,} "
-            f"(tolerated: {max_overhead:.0%})"
-        )
-    return problems
+#: The scale leg two artifacts must share for the ``--against`` guard,
+#: and the rate it guards.
+WORKLOAD = ("scale.machines", "scale.days")
+RATE = "scale.machines_per_s"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -365,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": benchguard.commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"
@@ -418,19 +371,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.against is not None:
         with open(args.against, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
-        problems = check_overhead(
-            metrics, baseline, max_overhead=args.max_overhead
-        )
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        base_rate = baseline["metrics"]["scale"]["machines_per_s"]
-        rate = scale["machines_per_s"]
-        print(
-            f"overhead guard: {rate:,} vs baseline {base_rate:,} "
-            f"machines/s ({(base_rate - rate) / base_rate:+.1%} "
-            f"overhead, {args.max_overhead:.0%} tolerated)"
+        return benchguard.run_guard(
+            metrics,
+            baseline,
+            workload=WORKLOAD,
+            rate=RATE,
+            unit="machines/s",
+            max_overhead=args.max_overhead,
         )
     return 0
 

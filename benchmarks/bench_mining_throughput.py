@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -52,6 +51,8 @@ from repro.recoverylog.io import write_log_jsonl, write_log_text
 from repro.recoverylog.process import segment_log
 from repro.tracegen.stream import SyntheticStreamConfig, iter_synthetic_log
 from repro.util.tables import render_table
+
+import benchguard
 
 BENCH_NAME = "mining_throughput"
 SEED = 11
@@ -84,19 +85,6 @@ PROFILES = {
 
 #: Entries sampled when estimating the cost of materializing the log.
 _ESTIMATE_SAMPLE = 100_000
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _config(machines: int) -> SyntheticStreamConfig:
@@ -366,7 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": benchguard.commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

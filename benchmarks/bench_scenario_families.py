@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -31,6 +30,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.families import FAMILY_NAMES, scenario_families
 from repro.tracegen.workload import default_config, small_config
 
+import benchguard
+
 BENCH_NAME = "scenario_families"
 SEED = 7
 
@@ -38,19 +39,6 @@ PROFILES = {
     "small": lambda: small_config(seed=SEED),
     "default": lambda: default_config(seed=SEED),
 }
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def run(profile: str, fraction: float) -> Dict[str, object]:
@@ -132,7 +120,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile, args.fraction)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": benchguard.commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import subprocess
 import sys
 import threading
 import time
@@ -64,6 +63,8 @@ from repro.serving import (
 )
 from repro.util.rng import RngStreams
 from repro.util.tables import render_table
+
+import benchguard
 
 BENCH_NAME = "serving"
 DAY = 86_400.0
@@ -102,19 +103,6 @@ PROFILES = {
 }
 
 UNKNOWN_FRACTION = 0.1
-
-
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _train_policy(machines: int, days: float):
@@ -490,7 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": benchguard.commit(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"

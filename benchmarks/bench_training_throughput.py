@@ -4,31 +4,45 @@ Trains the largest error types of a fixed-seed scenario twice — with
 the frozen session-driven course over a dict Q table kept in
 ``tests/oracles/qlearning_reference.py`` (reported under ``"dict"``) and
 with ``QLearningTrainer`` (reported under ``"array"``) — and reports
-wall-clock, episodes/sec and sweeps/sec for each, plus their speedup.
-The two are bit-identical by contract (same RNG draw sequence, Q values
-and convergence sweeps), so the benchmark first asserts exact equality
-of every training outcome and only then reports throughput — a speedup
+wall-clock, episodes/sec and sweeps/sec for each.  The two are
+bit-identical by contract (same RNG draw sequence, Q values and
+convergence sweeps), so the benchmark first asserts exact equality of
+every training outcome and only then reports throughput — a throughput
 measured against diverging results would be meaningless.
+
+The regression guard is ``--against`` (shared with the fleet bench in
+``benchguard.py``): the trainer's episodes/sec must stay within
+``--max-overhead`` (default 5%) of a baseline artifact measured on the
+same workload.  It is enforced only when the baseline records this
+machine's fingerprint (nproc, CPU model, Python, numpy); against a
+baseline taken elsewhere it prints the comparison as advisory and
+cannot fail, because throughput on another machine is no reference.
+Each trainer's figure is the median of the profile's repeats.  The
+oracle/trainer speedup is reported but not gated: the oracle is a test
+fixture, not the product.
 
 Standalone by design (CI runs it outside pytest)::
 
     PYTHONPATH=src python benchmarks/bench_training_throughput.py \
-        --profile smoke --out BENCH_training_throughput.json
+        --profile full --against BENCH_training_throughput.json
     PYTHONPATH=src python benchmarks/bench_training_throughput.py \
         --check BENCH_training_throughput.json
 
 The committed ``BENCH_training_throughput.json`` at the repo root holds
-the ``full`` profile's numbers and is the baseline later perf work is
-measured against.  Schema::
+the ``full`` profile's numbers and the machine they were taken on.
+Schema::
 
-    {"bench": "training_throughput", "commit": "<sha>", "metrics": {...}}
+    {"bench": "training_throughput", "commit": "<sha>",
+     "src_sha256": "<sha256 of src/repro>",
+     "machine": {"nproc": .., "cpu": "..", "python": "..", "numpy": ".."},
+     "metrics": {...}}
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,7 +54,9 @@ from repro.simplatform.platform import SimulationPlatform
 from repro.tracegen.workload import small_config
 from repro.util.tables import render_table
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import benchguard
+
+sys.path.insert(0, str(benchguard.ROOT / "tests"))
 from oracles.qlearning_reference import ReferenceTrainer  # noqa: E402
 
 BENCH_NAME = "training_throughput"
@@ -50,32 +66,27 @@ BENCH_NAME = "training_throughput"
 #: committed artifacts stay comparable.
 TRAINERS = {"dict": ReferenceTrainer, "array": QLearningTrainer}
 
-#: Profile -> (scenario kind, error types trained, sweep cap, min speedup).
-#: The smoke profile exists for CI: it must finish in seconds and makes
-#: no speedup promise (shared runners time-slice too coarsely); the full
-#: profile is the committed baseline and asserts the trainer's >= 3x
-#: episodes/sec advantage over the reference oracle.
+#: Profile -> (error types trained, sweep cap, timing repeats).  The
+#: smoke profile finishes in seconds; the full profile is the committed
+#: baseline the ``--against`` guard compares with.
 PROFILES = {
-    "smoke": {
-        "top_types": 2, "max_sweeps": 25, "repeats": 1, "min_speedup": 0.0,
-    },
-    "full": {
-        "top_types": 3, "max_sweeps": 120, "repeats": 3, "min_speedup": 3.0,
-    },
+    "smoke": {"top_types": 2, "max_sweeps": 25, "repeats": 1},
+    "full": {"top_types": 3, "max_sweeps": 120, "repeats": 5},
 }
 
+#: Workload fields two artifacts must share before their throughputs
+#: can be compared (the episode count pins the training outcome).
+WORKLOAD = (
+    "profile",
+    "error_types",
+    "training_processes",
+    "max_sweeps",
+    "seed",
+    "backends.array.episodes",
+)
 
-def _commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+#: The guarded rate: the trainer's episodes per wall-clock second.
+RATE = "backends.array.episodes_per_s"
 
 
 def _largest_groups(
@@ -126,10 +137,10 @@ def _run_trainer(
     A fresh platform per *repeat* charges the trainer's one-time replay
     compilation to its measurement, so the comparison is end to end,
     not inner-loop-only.  Training is deterministic, so repeats produce
-    identical results and only the minimum wall-clock (the least
-    scheduler-perturbed run) is reported.
+    identical results; the median wall-clock is reported, so neither
+    one lucky nor one preempted repeat sets the figure.
     """
-    elapsed = float("inf")
+    timings: List[float] = []
     for _repeat in range(repeats):
         platform = SimulationPlatform(scenario.clean, scenario.catalog)
         trainer = TRAINERS[name](
@@ -144,7 +155,8 @@ def _run_trainer(
             episodes += result.episodes
             sweeps += result.sweeps_run
             snapshots.append(_snapshot(result))
-        elapsed = min(elapsed, time.perf_counter() - started)
+        timings.append(time.perf_counter() - started)
+    elapsed = statistics.median(timings)
     return (
         {
             "wall_clock_s": round(elapsed, 4),
@@ -200,6 +212,13 @@ def check_payload(payload: Dict[str, object]) -> List[str]:
         problems.append(f"bench must be {BENCH_NAME!r}")
     if not isinstance(payload.get("commit"), str) or not payload["commit"]:
         problems.append("commit must be a non-empty string")
+    if not isinstance(payload.get("src_sha256"), str):
+        problems.append("src_sha256 must be a string")
+    machine = payload.get("machine")
+    if not isinstance(machine, dict) or not all(
+        key in machine for key in ("nproc", "cpu", "python", "numpy")
+    ):
+        problems.append("machine must record nproc, cpu, python and numpy")
     metrics = payload.get("metrics")
     if not isinstance(metrics, dict):
         return problems + ["metrics must be an object"]
@@ -237,17 +256,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the JSON artifact here (default: print to stdout)",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless trainer/reference episodes-per-sec reaches this "
-        "(default: the profile's own floor)",
-    )
-    parser.add_argument(
         "--check",
         metavar="FILE",
         default=None,
         help="validate an existing artifact's schema and exit",
+    )
+    parser.add_argument(
+        "--against",
+        metavar="FILE",
+        default=None,
+        help="overhead guard: compare the trainer's episodes/s against a "
+        "baseline artifact of the same profile and fail on a loss beyond "
+        "--max-overhead (advisory only when the baseline was taken on "
+        "another machine)",
+    )
+    parser.add_argument(
+        "--max-overhead",
+        type=float,
+        default=0.05,
+        help="tolerated fractional throughput loss vs --against "
+        "(default 0.05 = 5%%)",
     )
     args = parser.parse_args(argv)
 
@@ -264,7 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     metrics = run(args.profile)
     payload = {
         "bench": BENCH_NAME,
-        "commit": _commit(),
+        "commit": benchguard.commit(),
+        "src_sha256": benchguard.source_digest(),
+        "machine": benchguard.machine(),
         "metrics": metrics,
     }
     rendered = json.dumps(payload, indent=2) + "\n"
@@ -291,24 +321,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{metrics['training_processes']:,} processes, "
               f"{len(metrics['error_types'])} types)",
     ))
-    print(f"speedup (episodes/s): {metrics['speedup_episodes_per_s']}x")
+    print(f"speedup over the oracle (episodes/s, not gated): "
+          f"{metrics['speedup_episodes_per_s']}x")
 
     if not metrics["bit_identical"]:
         print("FAIL: trainer diverged from the reference oracle",
               file=sys.stderr)
         return 1
-    floor = (
-        args.min_speedup
-        if args.min_speedup is not None
-        else PROFILES[args.profile]["min_speedup"]
-    )
-    if metrics["speedup_episodes_per_s"] < floor:
-        print(
-            f"FAIL: speedup {metrics['speedup_episodes_per_s']}x below "
-            f"the {floor}x floor",
-            file=sys.stderr,
+    if args.against is not None:
+        with open(args.against, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        same_machine = baseline.get("machine") == payload["machine"]
+        if not same_machine:
+            print(
+                f"baseline machine {baseline.get('machine')} differs from "
+                f"this machine {payload['machine']}: the throughput "
+                "comparison is advisory"
+            )
+        return benchguard.run_guard(
+            metrics,
+            baseline,
+            workload=WORKLOAD,
+            rate=RATE,
+            unit="episodes/s",
+            max_overhead=args.max_overhead,
+            enforce=same_machine,
         )
-        return 1
     return 0
 
 

@@ -12,6 +12,7 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "LogFormatError",
+    "PolicyFormatError",
     "SegmentationError",
     "UnknownActionError",
     "UnknownErrorTypeError",
@@ -34,6 +35,10 @@ class ConfigurationError(ReproError):
 
 class LogFormatError(ReproError):
     """A recovery-log entry or file could not be parsed."""
+
+
+class PolicyFormatError(LogFormatError):
+    """A policy file is malformed; the message names the file and field."""
 
 
 class SegmentationError(ReproError):

@@ -70,17 +70,8 @@ class BoltzmannExplorer:
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.schedule = schedule if schedule is not None else TemperatureSchedule()
-        self._rng = rng if rng is not None else make_rng(seed)
-        # Per-sweep temperature cache: the schedule is pure, and the
-        # training loop asks for thousands of draws at the same sweep.
-        self._cached_sweep = -1
-        self._cached_temperature = 0.0
-
-    def _temperature(self, sweep: int) -> float:
-        if sweep != self._cached_sweep:
-            self._cached_temperature = self.schedule.temperature(sweep)
-            self._cached_sweep = sweep
-        return self._cached_temperature
+        #: The generator every draw consumes.
+        self.rng = rng if rng is not None else make_rng(seed)
 
     def probabilities(
         self, q_values: Mapping[str, float], sweep: int
@@ -103,53 +94,7 @@ class BoltzmannExplorer:
         probabilities = self.probabilities(q_values, sweep)
         names = list(probabilities.keys())
         p = np.array([probabilities[n] for n in names])
-        return names[int(self._rng.choice(len(names), p=p))]
-
-    def select_index(self, q_row: np.ndarray, sweep: int) -> int:
-        """Draw one action id from a Q row (fast path).
-
-        Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
-        the softmax mirrors :meth:`probabilities` operation for
-        operation, and the draw replicates ``Generator.choice``'s
-        internal inverse-CDF computation — ``choice(n, p=p)`` consumes
-        exactly one ``random()`` and returns
-        ``searchsorted(normalized cumsum(p), u, side="right")`` — while
-        skipping its input validation and per-call dict round-trips.
-        """
-        if q_row.size == 0:
-            raise ConfigurationError("q_row must be non-empty")
-        temperature = self._temperature(sweep)
-        # ``(m - q) / T`` equals ``-(q - m) / T`` bit for bit (IEEE-754
-        # rounding is sign-symmetric), saving one array operation over
-        # the literal transcription of :meth:`probabilities`.
-        logits = (min(q_row.tolist()) - q_row) / temperature
-        weights = np.exp(logits)
-        if weights.size < 8:
-            # Scalar inverse-CDF: numpy's add-reduce and cumsum are
-            # plain left folds below the 8-element pairwise-summation
-            # block, so these scalar ops reproduce the array ops (and
-            # the ``choice`` draw) bit for bit at a fraction of the
-            # per-call overhead.  Catalogs are action-strength ladders,
-            # so this branch is the norm.
-            scalars = weights.tolist()
-            total = 0.0
-            for weight in scalars:
-                total += weight
-            cumulative = 0.0
-            tail = 0.0
-            for weight in scalars:
-                tail += weight / total
-            uniform = self._rng.random()
-            last = len(scalars) - 1
-            for position in range(last):
-                cumulative += scalars[position] / total
-                if cumulative / tail > uniform:
-                    return position
-            return last
-        p = weights / weights.sum()
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(self._rng.random(), side="right"))
+        return names[int(self.rng.choice(len(names), p=p))]
 
 
 class EpsilonGreedyExplorer:
@@ -174,7 +119,8 @@ class EpsilonGreedyExplorer:
         self._epsilon_initial = epsilon_initial
         self._decay = decay
         self._floor = floor
-        self._rng = rng if rng is not None else make_rng(seed)
+        #: The generator every draw consumes.
+        self.rng = rng if rng is not None else make_rng(seed)
 
     def epsilon(self, sweep: int) -> float:
         """Exploration rate at 0-based sweep index ``sweep``."""
@@ -185,19 +131,6 @@ class EpsilonGreedyExplorer:
         if not q_values:
             raise ConfigurationError("q_values must be non-empty")
         names = list(q_values.keys())
-        if self._rng.random() < self.epsilon(sweep):
-            return names[int(self._rng.integers(0, len(names)))]
+        if self.rng.random() < self.epsilon(sweep):
+            return names[int(self.rng.integers(0, len(names)))]
         return min(names, key=lambda n: q_values[n])
-
-    def select_index(self, q_row: np.ndarray, sweep: int) -> int:
-        """Draw one action id from a Q row (fast path).
-
-        Bit-identical to ``select`` over ``dict(zip(actions, q_row))``:
-        same RNG consumption, and ``argmin`` matches ``min``'s
-        first-minimum tie break in catalog order.
-        """
-        if q_row.size == 0:
-            raise ConfigurationError("q_row must be non-empty")
-        if self._rng.random() < self.epsilon(sweep):
-            return int(self._rng.integers(0, len(q_row)))
-        return int(q_row.argmin())

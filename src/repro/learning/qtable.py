@@ -9,18 +9,19 @@ recovery time when beginning with that action.  Updates follow
 which makes ``Q_n`` exactly the running average of the sampled targets —
 the contraction the paper cites for convergence with probability 1.
 
-Q values and visit counts live in growable ``(n_states, n_actions)``
-numpy arrays, with states interned to dense row ids by a
-:class:`~repro.mdp.state.StateIndex`.  Besides the state-keyed API, the
-table gives the training inner loop:
-
-* integer-id fast paths (:meth:`QTable.update_by_id`,
-  :meth:`QTable.bootstrap_by_id`, :meth:`QTable.underexplored_by_id`,
-  :meth:`QTable.q_row`) that skip per-step state hashing entirely;
-* a contiguous Q row per state for the vectorized Boltzmann draw;
-* an incrementally maintained greedy policy, so the per-sweep
-  convergence check (:meth:`QTable.greedy_policy_changed`) touches only
-  the states whose argmin actually moved.
+States are interned to dense row ids by a
+:class:`~repro.mdp.state.StateIndex`.  Q values and visit counts live in
+two flat arrays, ``array('d')`` and ``array('q')``, with the row of state
+``sid`` at ``sid * n_actions``; they grow in place, so a loop that binds
+them (:attr:`QTable.storage`) keeps valid references across growth.
+Equation (6) is implemented once, in :meth:`QTable.apply_episode`: the
+training kernel hands it a whole episode, the state-keyed
+:meth:`QTable.update` a single transition.  Alongside the values the
+table maintains its greedy policy incrementally, which serves both as
+the bootstrap term (the greedy entry holds the minimum over visited
+actions) and as the per-sweep convergence check
+(:meth:`QTable.greedy_policy_changed` touches only the states whose
+argmin actually moved).
 
 ``tests/oracles/qlearning_reference.py`` keeps a frozen dict-of-dict
 table with the same semantics; ``tests/test_backend_equivalence.py``
@@ -29,9 +30,8 @@ checks the two against each other bit for bit.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, TrainingError
 from repro.mdp.state import RecoveryState, StateIndex
@@ -93,20 +93,17 @@ class QTable:
             )
         self._index = index if index is not None else StateIndex(self._actions)
         self._capacity = 0
-        self._values = np.empty((0, self._n_actions), dtype=np.float64)
-        self._visits = np.zeros((0, self._n_actions), dtype=np.int64)
-        # Greedy policy, maintained inside update()/restore(): the
-        # visited action of minimum Q per state (-1: none visited), a
-        # snapshot of it at the last greedy_policy_changed() call, and
-        # the set of states whose entry moved since then.  Plain lists:
-        # these are read and written one scalar at a time on the hot
-        # path, where list indexing beats numpy scalar boxing.
+        self._values = array("d")
+        self._visits = array("q")
+        # Greedy policy: the visited action of minimum Q per state (-1:
+        # none visited, so "known" is ``greedy >= 0``), a snapshot of it
+        # at the last greedy_policy_changed() call, and the set of states
+        # whose entry moved since then.
         self._greedy: List[int] = []
         self._greedy_mark: List[int] = []
         self._dirty: Set[int] = set()
         self._checked_once = False
         # States with at least one visited action, in first-visit order.
-        self._known: Set[int] = set()
         self._known_order: List[int] = []
 
     # ------------------------------------------------------------------
@@ -123,6 +120,11 @@ class QTable:
         """The state interner mapping states to array rows."""
         return self._index
 
+    @property
+    def storage(self) -> Tuple[array, array]:
+        """The live flat ``(values, visits)`` arrays (read-only use)."""
+        return self._values, self._visits
+
     def __len__(self) -> int:
         """Number of states with at least one visited action."""
         return len(self._known_order)
@@ -133,27 +135,24 @@ class QTable:
 
     def known(self, state: RecoveryState) -> bool:
         """Whether any action was ever visited in ``state``."""
-        sid = self._index.lookup(state)
-        return sid is not None and sid in self._known
+        return self._known_id(state) is not None
 
     # ------------------------------------------------------------------
     # Array plumbing
     # ------------------------------------------------------------------
-    def _ensure_capacity(self, sid: int) -> None:
-        if sid < self._capacity:
-            return
-        new_cap = max(16, 2 * self._capacity, sid + 1)
-        values = np.full(
-            (new_cap, self._n_actions), self._initial, dtype=np.float64
-        )
-        values[: self._capacity] = self._values
-        visits = np.zeros((new_cap, self._n_actions), dtype=np.int64)
-        visits[: self._capacity] = self._visits
-        grow = new_cap - self._capacity
-        self._greedy.extend([-1] * grow)
-        self._greedy_mark.extend([-1] * grow)
-        self._values, self._visits = values, visits
-        self._capacity = new_cap
+    def reserve(self, rows: int) -> int:
+        """Grow the arrays in place to at least ``rows`` rows (at least
+        doubling, so growth is amortized); returns the row capacity."""
+        old = self._capacity
+        if rows > old:
+            new = max(16, 2 * old, rows)
+            cells = (new - old) * self._n_actions
+            self._values.extend(array("d", [self._initial]) * cells)
+            self._visits.extend(array("q", [0]) * cells)
+            self._greedy.extend([-1] * (new - old))
+            self._greedy_mark.extend([-1] * (new - old))
+            self._capacity = new
+        return self._capacity
 
     def _check_action(self, action_name: str) -> int:
         aid = self._action_ids.get(action_name)
@@ -163,33 +162,30 @@ class QTable:
             )
         return aid
 
-    def _refresh_greedy(self, sid: int) -> None:
-        """Recompute the state's greedy entry after a write to its row.
+    def _known_id(self, state: RecoveryState) -> Optional[int]:
+        """The state's row id if any of its actions was visited."""
+        sid = self._index.lookup(state)
+        if sid is None or sid >= self._capacity or self._greedy[sid] < 0:
+            return None
+        return sid
 
-        A tiny loop over the catalog (first minimum among visited
-        actions, the catalog-order tie-break) beats vectorized
-        argmin at this width and keeps the dirty set exact.  ``tolist``
-        converts the rows to Python scalars in one pass — the values
-        are the same IEEE doubles, just cheaper to compare.
-        """
-        values = self._values[sid].tolist()
-        visits = self._visits[sid].tolist()
-        best = -1
-        best_value = 0.0
-        for aid in range(self._n_actions):
-            if visits[aid] > 0:
-                value = values[aid]
-                if best < 0 or value < best_value:
-                    best = aid
-                    best_value = value
+    def _row(self, sid: int, flat: Optional[array] = None) -> array:
+        """Row ``sid`` of the values (or of ``flat``, e.g. the visits)."""
+        base = sid * self._n_actions
+        flat = self._values if flat is None else flat
+        return flat[base : base + self._n_actions]
+
+    def _refresh_greedy(self, sid: int) -> None:
+        """Recompute the state's greedy entry after a write to its row:
+        the first minimum among visited actions (catalog-order ties)."""
+        best, best_value = -1, 0.0
+        visits = self._row(sid, self._visits)
+        for aid, value in enumerate(self._row(sid)):
+            if visits[aid] > 0 and (best < 0 or value < best_value):
+                best, best_value = aid, value
         if best != self._greedy[sid]:
             self._greedy[sid] = best
             self._dirty.add(sid)
-
-    def _touch(self, sid: int) -> None:
-        if sid not in self._known:
-            self._known.add(sid)
-            self._known_order.append(sid)
 
     # ------------------------------------------------------------------
     # State-keyed API
@@ -197,35 +193,29 @@ class QTable:
     def value(self, state: RecoveryState, action_name: str) -> float:
         """Current Q(s, a); the initial value when never visited."""
         aid = self._check_action(action_name)
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_id(state)
+        cell = -1 if sid is None else sid * self._n_actions + aid
+        if cell < 0 or self._visits[cell] == 0:
             return self._initial
-        if self._visits[sid, aid] == 0:
-            return self._initial
-        return float(self._values[sid, aid])
+        return self._values[cell]
 
     def values_for(self, state: RecoveryState) -> Dict[str, float]:
         """``{action: Q(s, action)}`` over all actions."""
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_id(state)
+        if sid is None:
             return {a: self._initial for a in self._actions}
-        row = self._values[sid]
-        return {a: float(row[i]) for i, a in enumerate(self._actions)}
+        return dict(zip(self._actions, self._row(sid)))
 
     def visit_count(self, state: RecoveryState, action_name: str) -> int:
         """How many updates (s, a) has received."""
         aid = self._check_action(action_name)
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
-            return 0
-        return int(self._visits[sid, aid])
+        sid = self._known_id(state)
+        return 0 if sid is None else self._visits[sid * self._n_actions + aid]
 
     def total_visits(self, state: RecoveryState) -> int:
         """Updates summed over all actions of ``state``."""
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
-            return 0
-        return int(self._visits[sid].sum())
+        sid = self._known_id(state)
+        return 0 if sid is None else sum(self._row(sid, self._visits))
 
     def min_value(self, state: RecoveryState) -> float:
         """``min_a Q(s, a)`` over all actions.
@@ -234,10 +224,8 @@ class QTable:
         """
         if state.is_terminal:
             return 0.0
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
-            return self._initial
-        return float(self._values[sid].min())
+        sid = self._known_id(state)
+        return self._initial if sid is None else min(self._row(sid))
 
     def underexplored_action(
         self, state: RecoveryState, min_visits: int
@@ -252,26 +240,28 @@ class QTable:
         """
         if min_visits <= 0:
             return None
-        sid = self._index.lookup(state)
-        if sid is None or sid >= self._capacity:
+        sid = self._known_id(state)
+        if sid is None:
             return self._actions[0]
-        aid = self.underexplored_by_id(sid, min_visits)
-        return None if aid < 0 else self._actions[aid]
+        best, least = -1, min_visits
+        for aid, count in enumerate(self._row(sid, self._visits)):
+            if count < least:
+                best, least = aid, count
+        return None if best < 0 else self._actions[best]
 
     def bootstrap_value(self, state: RecoveryState) -> float:
         """Continuation value used as the TD target's second term.
 
         Terminal states contribute 0.  For non-terminal states the
-        minimum is taken over *visited* actions when any exist: with the
-        optimistic 0 default, including never-tried actions would make
-        continuations look free and bias upstream Q values low.
+        minimum is taken over *visited* actions when any exist — the
+        greedy entry's value: with the optimistic 0 default, including
+        never-tried actions would make continuations look free and bias
+        upstream Q values low.
         """
         if state.is_terminal:
             return 0.0
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
-            return self._initial
-        return float(self.bootstrap_by_id(sid))
+        greedy = self.greedy_action(state)
+        return self._initial if greedy is None else greedy[1]
 
     def greedy_action(
         self, state: RecoveryState
@@ -282,26 +272,23 @@ class QTable:
         carry the optimistic initial value and must not be exploited.
         Ties break by catalog order.
         """
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_id(state)
+        if sid is None:
             return None
-        aid = int(self._greedy[sid])
-        if aid < 0:
-            return None
-        return self._actions[aid], float(self._values[sid, aid])
+        aid = self._greedy[sid]
+        return self._actions[aid], self._values[sid * self._n_actions + aid]
 
     def ranked_actions(
         self, state: RecoveryState
     ) -> Tuple[Tuple[str, float], ...]:
         """Visited actions ranked by ascending Q (ties by catalog order)."""
-        sid = self._index.lookup(state)
-        if sid is None or sid not in self._known:
+        sid = self._known_id(state)
+        if sid is None:
             return ()
-        values = self._values[sid]
-        visits = self._visits[sid]
+        visits = self._row(sid, self._visits)
         ranked = [
-            (self._actions[aid], float(values[aid]))
-            for aid in range(self._n_actions)
+            (self._actions[aid], value)
+            for aid, value in enumerate(self._row(sid))
             if visits[aid] > 0
         ]
         ranked.sort(key=lambda pair: pair[1])
@@ -320,7 +307,9 @@ class QTable:
         aid = self._check_action(action_name)
         if state.is_terminal:
             raise TrainingError(f"cannot update a terminal state {state}")
-        return self.update_by_id(self._index.intern(state), aid, target)
+        sid = self._index.intern(state)
+        self.reserve(sid + 1)
+        return self.apply_episode((sid,), (aid,), (target,), (-1,))
 
     def restore(
         self,
@@ -338,11 +327,79 @@ class QTable:
                 f"restored visits must be >= 1, got {visits}"
             )
         sid = self._index.intern(state)
-        self._ensure_capacity(sid)
-        self._values[sid, aid] = float(value)
-        self._visits[sid, aid] = int(visits)
-        self._touch(sid)
+        self.reserve(sid + 1)
+        cell = sid * self._n_actions + aid
+        self._values[cell] = float(value)
+        self._visits[cell] = int(visits)
+        if self._greedy[sid] < 0:
+            self._known_order.append(sid)
         self._refresh_greedy(sid)
+
+    def apply_episode(
+        self,
+        sids: Sequence[int],
+        aids: Sequence[int],
+        costs: Sequence[float],
+        next_sids: Sequence[int],
+    ) -> float:
+        """Equation-(6) updates of one episode, deepest transition first.
+
+        Transition ``i`` took action ``aids[i]`` in state ``sids[i]``,
+        cost ``costs[i]`` and led to ``next_sids[i]``; a next id of -1
+        marks a terminal successor, whose continuation value is 0.
+        Reverse order means every bootstrap target reads a successor
+        value that the same episode just refreshed, which propagates
+        terminal costs up the chain within a single episode.  The
+        bootstrap reads the successor's greedy entry (the minimum over
+        its visited actions; the initial value when none is).  Every id
+        must already have a row (see :meth:`reserve`).  Returns the
+        largest absolute Q change.
+        """
+        n = self._n_actions
+        values, visits, greedy = self._values, self._visits, self._greedy
+        initial, floor = self._initial, self._alpha_floor
+        max_delta = 0.0
+        for i in range(len(sids) - 1, -1, -1):
+            target = costs[i]
+            nxt = next_sids[i]
+            if nxt >= 0:
+                best = greedy[nxt]
+                target += initial if best < 0 else values[nxt * n + best]
+            sid = sids[i]
+            aid = aids[i]
+            cell = sid * n + aid
+            count = visits[cell]
+            old = values[cell]
+            alpha = 1.0 / (1.0 + count)
+            if alpha < floor:
+                alpha = floor
+            new = (1.0 - alpha) * old + alpha * target
+            values[cell] = new
+            visits[cell] = count + 1
+            # Incremental greedy maintenance.  Only one entry moved, so
+            # the first-minimum-over-visited argmin can shift in exactly
+            # three ways: the state had no greedy yet (aid takes over); a
+            # non-greedy entry dropped to or below the greedy value (aid
+            # takes over iff strictly below, or ties with an earlier
+            # catalog position); or the greedy entry itself *increased*
+            # — the one case that needs a row rescan.
+            best = greedy[sid]
+            if best < 0:
+                greedy[sid] = aid
+                self._dirty.add(sid)
+                self._known_order.append(sid)
+            elif best == aid:
+                if new > old:
+                    self._refresh_greedy(sid)
+            else:
+                best_value = values[sid * n + best]
+                if new < best_value or (new == best_value and aid < best):
+                    greedy[sid] = aid
+                    self._dirty.add(sid)
+            delta = abs(new - old)
+            if delta > max_delta:
+                max_delta = delta
+        return max_delta
 
     def greedy_policy_changed(self) -> bool:
         """Whether the greedy policy differs from the previous call.
@@ -364,100 +421,3 @@ class QTable:
             self._checked_once = True
             return True
         return changed
-
-    # ------------------------------------------------------------------
-    # Integer-id fast path (used by the training inner loop)
-    # ------------------------------------------------------------------
-    def q_row(self, sid: int) -> np.ndarray:
-        """The state's Q row over all actions, in catalog order.
-
-        Never-visited entries hold the initial value, exactly like
-        ``values_for``; the returned array is a live view — callers must
-        not mutate it.
-        """
-        self._ensure_capacity(sid)
-        return self._values[sid]
-
-    def underexplored_by_id(self, sid: int, min_visits: int) -> int:
-        """Id of the least-visited action below ``min_visits``, or -1.
-
-        Ties break by catalog order, like ``underexplored_action``.
-        """
-        if min_visits <= 0:
-            return -1
-        self._ensure_capacity(sid)
-        visits = self._visits[sid].tolist()
-        best = -1
-        best_count = min_visits
-        for aid in range(self._n_actions):
-            count = visits[aid]
-            if count < best_count:
-                best = aid
-                best_count = count
-        return best
-
-    def bootstrap_by_id(self, sid: int) -> float:
-        """Continuation value of the interned state ``sid``.
-
-        Terminal states contribute 0; unvisited states the initial
-        value; otherwise the minimum over *visited* actions.
-        """
-        if self._index.is_terminal(sid):
-            return 0.0
-        if sid not in self._known:
-            return self._initial
-        values = self._values[sid].tolist()
-        visits = self._visits[sid].tolist()
-        best = self._initial
-        found = False
-        for aid in range(self._n_actions):
-            if visits[aid] > 0:
-                value = values[aid]
-                if not found or value < best:
-                    best = value
-                    found = True
-        return best
-
-    def update_by_id(self, sid: int, aid: int, target: float) -> float:
-        """Equation-(6) update addressed by interned ids.
-
-        Returns the absolute change in Q(s, a), like ``update``.
-        """
-        if self._index.is_terminal(sid):
-            raise TrainingError(
-                f"cannot update a terminal state {self._index.state(sid)}"
-            )
-        self._ensure_capacity(sid)
-        # ``item`` yields Python scalars, so the arithmetic below runs on
-        # native doubles, without numpy's scalar-object overhead.
-        visits = self._visits.item(sid, aid)
-        old = self._values.item(sid, aid)
-        alpha = 1.0 / (1.0 + visits)
-        if alpha < self._alpha_floor:
-            alpha = self._alpha_floor
-        new = (1.0 - alpha) * old + alpha * target
-        self._values[sid, aid] = new
-        self._visits[sid, aid] = visits + 1
-        if sid not in self._known:
-            self._known.add(sid)
-            self._known_order.append(sid)
-        # Incremental greedy maintenance.  Only one entry moved, so the
-        # first-minimum-over-visited argmin can shift in exactly three
-        # ways: the state had no greedy yet (aid takes over); a
-        # non-greedy entry dropped to or below the greedy value (aid
-        # takes over iff strictly below, or ties with an earlier catalog
-        # position); or the greedy entry itself *increased* — the one
-        # case that needs a row rescan.
-        greedy = self._greedy[sid]
-        if greedy < 0:
-            self._greedy[sid] = aid
-            self._dirty.add(sid)
-        elif greedy == aid:
-            if new > old:
-                self._refresh_greedy(sid)
-        else:
-            greedy_value = self._values.item(sid, greedy)
-            if new < greedy_value or (new == greedy_value and aid < greedy):
-                self._greedy[sid] = aid
-                self._dirty.add(sid)
-        return abs(new - old)

@@ -174,6 +174,12 @@ class StateIndex:
     def attempt_count(self, sid: int) -> int:
         return self._attempts[sid]
 
+    @property
+    def successor_rows(self) -> List[List[int]]:
+        """The live memo behind :meth:`successor`, one row per state id,
+        for loops that inline its hit path; callers only read it."""
+        return self._successors
+
     def successor(self, sid: int, action_id: int, healthy: bool) -> int:
         """Id of ``state(sid).after(actions[action_id], healthy)``.
 

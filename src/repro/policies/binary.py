@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, LogFormatError, UnhandledStateError
+from repro.errors import ConfigurationError, PolicyFormatError, UnhandledStateError
 from repro.mdp.state import RecoveryState
 from repro.policies.base import Policy, PolicyDecision
 from repro.policies.trained import TrainedPolicy
@@ -66,6 +66,11 @@ _ALIGN = 64
 
 #: Key space ceiling: keys must fit uint64.
 _KEY_LIMIT = 2**64
+
+#: Column dtypes (native order): written by the saver, required by the
+#: loader, since a signed action id or a NaN key passes the row checks.
+_COLUMN_DTYPES = {"keys": np.dtype("u8"), "actions": np.dtype("u4"),
+                  "costs": np.dtype("f8")}
 
 
 def _pack_key(
@@ -151,9 +156,9 @@ def save_policy_binary(policy: TrainedPolicy, path: PathLike) -> int:
             f"{max_history}); use the JSON format for tables this wide"
         )
 
-    keys = np.empty(len(rules), dtype=np.uint64)
-    actions = np.empty(len(rules), dtype=np.uint32)
-    costs = np.empty(len(rules), dtype=np.float64)
+    keys = np.empty(len(rules), dtype=_COLUMN_DTYPES["keys"])
+    actions = np.empty(len(rules), dtype=_COLUMN_DTYPES["actions"])
+    costs = np.empty(len(rules), dtype=_COLUMN_DTYPES["costs"])
     for row, (state, (action, cost)) in enumerate(rules):
         keys[row] = _pack_key(
             et_ids[state.error_type],
@@ -223,17 +228,17 @@ def _read_header(path: Path) -> Tuple[Dict[str, object], int]:
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 4)
         if len(prefix) < len(_MAGIC) + 4 or prefix[: len(_MAGIC)] != _MAGIC:
-            raise LogFormatError(f"{path}: not a repro binary policy file")
+            raise PolicyFormatError(f"{path}: not a repro binary policy file")
         version = int.from_bytes(prefix[len(_MAGIC) :], "little")
         if version != _CONTAINER_VERSION:
-            raise LogFormatError(
+            raise PolicyFormatError(
                 f"{path}: unsupported container version {version} "
                 f"(this build reads version {_CONTAINER_VERSION})"
             )
         header_len = int.from_bytes(handle.read(8), "little")
         available = os.fstat(handle.fileno()).st_size - handle.tell()
         if header_len > available:
-            raise LogFormatError(
+            raise PolicyFormatError(
                 f"{path}: truncated header: header_len {header_len} "
                 f"exceeds the {available} bytes after it"
             )
@@ -241,9 +246,9 @@ def _read_header(path: Path) -> Tuple[Dict[str, object], int]:
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise LogFormatError(f"{path}: bad header: {exc}") from None
+        raise PolicyFormatError(f"{path}: bad header: {exc}") from None
     if header.get("format") != BINARY_POLICY_FORMAT:
-        raise LogFormatError(
+        raise PolicyFormatError(
             f"{path}: expected format {BINARY_POLICY_FORMAT!r}, "
             f"got {header.get('format')!r}"
         )
@@ -447,6 +452,31 @@ class ArrayTrainedPolicy(Policy):
         return TrainedPolicy(rules, label=self._label)
 
 
+def _check_columns(
+    path: Path, arrays: Dict[str, np.ndarray], n_decided: int
+) -> None:
+    """Reject columns of unequal shape, a key column that is not strictly
+    increasing (lookups binary-search it) and action ids outside the
+    decided-action vocabulary, each in one vectorized pass."""
+    keys = arrays["keys"]
+    for name, column in arrays.items():
+        if column.ndim != 1 or column.shape != keys.shape:
+            raise PolicyFormatError(
+                f"{path}: {name}: shape {column.shape}, keys {keys.shape}"
+            )
+    bad = np.flatnonzero(keys[1:] <= keys[:-1])
+    if bad.size:
+        raise PolicyFormatError(
+            f"{path}: keys: not strictly increasing at row {bad[0] + 1}"
+        )
+    bad = np.flatnonzero(arrays["actions"] >= n_decided)
+    if bad.size:
+        raise PolicyFormatError(
+            f"{path}: actions: id {arrays['actions'][bad[0]]} at row "
+            f"{bad[0]} is outside the {n_decided} decided actions"
+        )
+
+
 def load_policy_binary(
     path: PathLike, *, mmap: bool = True, verify: bool = False
 ) -> ArrayTrainedPolicy:
@@ -465,10 +495,13 @@ def load_policy_binary(
     try:
         directory = header["arrays"]
         rule_count = int(header["rule_count"])
+        decided_actions = [str(s) for s in header["decided_actions"]]
         arrays: Dict[str, np.ndarray] = {}
         for name in ("keys", "actions", "costs"):
             spec = directory[name]
             dtype = np.dtype(str(spec["dtype"]))
+            if dtype != _COLUMN_DTYPES[name]:
+                raise PolicyFormatError(f"{path}: {name}: dtype {dtype.str}")
             shape = tuple(int(n) for n in spec["shape"])
             offset = data_origin + int(spec["offset"])
             if mmap:
@@ -484,7 +517,7 @@ def load_policy_binary(
             label=str(header["label"]),
             error_types=[str(s) for s in header["error_types"]],
             history_actions=[str(s) for s in header["history_actions"]],
-            decided_actions=[str(s) for s in header["decided_actions"]],
+            decided_actions=decided_actions,
             max_history=int(header["max_history"]),
             keys=arrays["keys"],
             actions=arrays["actions"],
@@ -492,9 +525,10 @@ def load_policy_binary(
             source_path=path,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise LogFormatError(f"{path}: bad header field: {exc}") from None
+        raise PolicyFormatError(f"{path}: bad header field: {exc}") from None
+    _check_columns(path, arrays, len(decided_actions))
     if len(policy) != rule_count:
-        raise LogFormatError(
+        raise PolicyFormatError(
             f"{path}: rule_count {rule_count} does not match key column "
             f"length {len(policy)}"
         )
@@ -505,7 +539,7 @@ def load_policy_binary(
             handle.seek(data_origin)
             actual = zlib.crc32(handle.read(size - data_origin))
         if actual != expected:
-            raise LogFormatError(
+            raise PolicyFormatError(
                 f"{path}: data checksum mismatch "
                 f"(stored {expected}, computed {actual})"
             )

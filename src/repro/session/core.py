@@ -48,9 +48,9 @@ def forced_action(
     the manual (strongest) repair on the final slot — the last free
     choice happens at ``attempt_count == max_actions - 2`` and from
     ``max_actions - 1`` on the manual action is mandatory.  Returns
-    ``None`` while the policy may still choose.  This is the single
-    source of the cap rule: sessions, the platform's fast training loop
-    and the compiled replay all call it.
+    ``None`` while the policy may still choose.  The training kernel
+    (``QLearningTrainer._sweep``) inlines a copy of this test, which
+    ``tests/test_training_kernel.py`` holds to the reference oracle.
     """
     if attempt_count >= max_actions - 1:
         return forced_name

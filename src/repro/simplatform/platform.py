@@ -123,8 +123,9 @@ class CompiledReplay:
     lists indexed by process index and action id (catalog position,
     which equals strength rank since the catalog orders actions by
     ascending strength).  :meth:`step` then decides success and cost
-    with integer compares only, for :meth:`SimulationPlatform.step`, the
-    training loop and the selection tree alike:
+    with integer compares only, for :meth:`SimulationPlatform.step`,
+    replay and the selection tree; ``QLearningTrainer._sweep`` inlines
+    a copy, held to the reference oracle by ``test_training_kernel``:
 
     * hypothesis 2 (each required occurrence matched by a distinct
       executed action at least as strong:
@@ -294,8 +295,8 @@ class SimulationPlatform:
 
         Delegates to the session core's
         :func:`~repro.session.core.forced_action`, the single source of
-        the cap rule; kept as a method because the trainer's fast
-        episode loop asks the platform directly.
+        the cap rule; kept as a method because ``replay_many`` and the
+        selection tree ask the platform directly.
         """
         return cap_forced_action(
             attempt_count, self._max_actions, self._forced_name

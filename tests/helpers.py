@@ -107,24 +107,31 @@ def ladder_processes(
 def trainer_episode(trainer, qtable, explorer, process, sweep=0, *, warm=False):
     """Run one ``QLearningTrainer`` episode and return its transitions.
 
-    ``process`` must belong to the trainer platform's ensemble.  The id
-    trajectory the episode loop returns is mapped back to
-    ``(state, action, cost, next_state)`` tuples.
+    ``process`` must belong to the trainer platform's ensemble.  The
+    episode is a one-process call of the training kernel; its id
+    trajectory (``trainer.last_episode``, where -1 marks the terminal
+    successor) is mapped back to ``(state, action, cost, next_state)``
+    tuples.
     """
     platform = trainer.platform
-    compiled = platform.compiled()
+    actions = platform.compiled().actions
     index = qtable.index
-    sids, aids, costs, next_sids = trainer._run_episode(
+    trainer._sweep(
         qtable,
         explorer,
-        compiled,
-        platform.process_index(process),
+        [platform.process_index(process)],
         index.intern(RecoveryState.initial(process.error_type)),
-        compiled.actions.index(platform.forced_action_name),
         sweep,
-        warm=warm,
+        set(),
+        warm,
     )
-    return [
-        (index.state(sid), compiled.actions[aid], cost, index.state(next_sid))
-        for sid, aid, cost, next_sid in zip(sids, aids, costs, next_sids)
-    ]
+    transitions = []
+    for sid, aid, cost, next_sid in zip(*trainer.last_episode):
+        state = index.state(sid)
+        next_state = (
+            state.after(actions[aid], True)
+            if next_sid < 0
+            else index.state(next_sid)
+        )
+        transitions.append((state, actions[aid], cost, next_state))
+    return transitions

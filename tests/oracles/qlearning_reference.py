@@ -1,8 +1,8 @@
 """Frozen reference Q-learning course: the oracle for the product trainer.
 
 The product trains on one id-indexed path: :class:`repro.learning.qtable.QTable`
-(dense numpy rows over interned states) driven by
-``QLearningTrainer._run_episode``.  This module keeps the implementation
+(flat arrays over interned states) driven by the sweep kernel
+``QLearningTrainer._sweep``.  This module keeps the implementation
 that path replaced, frozen, so tests and the training-throughput
 benchmark can check the product against it bit for bit:
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.experiments.scenario import build_scenario
-from repro.experiments.summary import reproduction_summary
+from repro.experiments.summary import _verdicts, reproduction_summary
 from repro.learning.qlearning import QLearningConfig
 from repro.learning.selection_tree import SelectionTreeConfig
 from repro.tracegen.workload import small_config
@@ -52,3 +52,46 @@ class TestReproductionSummary:
         by_figure = {row.figure: row for row in summary.rows}
         assert by_figure["Fig 3"].shape_holds
         assert by_figure["Fig 10"].shape_holds
+
+    def test_bounded_figures_carry_two_verdicts(self, summary):
+        """Figs 7, 9, 10 and 12 report the paper bound and the looser
+        reproduction tolerance separately, each with its reason."""
+        by_figure = {row.figure: row for row in summary.rows}
+        for figure in ("Fig 7", "Fig 9", "Fig 10", "Fig 12"):
+            row = by_figure[figure]
+            assert isinstance(row.paper_bound_met, bool), figure
+            assert "paper" in row.reason and "tolerance" in row.reason
+        assert by_figure["Fig 3"].paper_bound_met is None
+        assert "paper bounds met" in summary.render()
+
+
+class TestVerdicts:
+    def test_paper_bound_stricter_than_tolerance(self):
+        # The audit's Fig 10 case: 86.86% coverage passes the tolerance
+        # only.
+        tolerated, met, reason = _verdicts(
+            (0.8686, 0.90), (0.8686, 0.80), above=True, fmt=".2%"
+        )
+        assert (met, tolerated) == (False, True)
+        assert reason == (
+            "paper: 86.86% misses > 90.00%; tolerance: 86.86% meets > 80.00%"
+        )
+
+    @pytest.mark.parametrize(
+        "value, tolerance, verdicts",
+        [(0.8513, 0.93, (True, True)), (0.92, 0.93, (True, False)),
+         (0.96, 0.95, (False, False))],
+    )
+    def test_upper_bounds(self, value, tolerance, verdicts):
+        assert _verdicts(
+            (value, 0.90), (value, tolerance), above=False, fmt=".4f"
+        )[:2] == verdicts
+
+    def test_paper_and_tolerance_may_judge_different_values(self):
+        # Fig 7: the paper bounds the max deviation, the tolerance the
+        # mean.
+        tolerated, met, reason = _verdicts(
+            (0.177, 0.05), (0.0358, 0.06), above=False, fmt=".2%"
+        )
+        assert (met, tolerated) == (False, True)
+        assert "17.70% misses" in reason and "3.58% meets" in reason

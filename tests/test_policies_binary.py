@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, LogFormatError, UnhandledStateError
+from repro.errors import (
+    ConfigurationError,
+    LogFormatError,
+    PolicyFormatError,
+    UnhandledStateError,
+)
 from repro.mdp.state import RecoveryState
 from repro.policies.binary import (
     ArrayTrainedPolicy,
@@ -163,6 +168,132 @@ class TestContainerFormat:
         save_policy_binary(policy, path)
         loaded = load_policy_binary(path)
         assert loaded.source_path == path
+
+
+def _rewrite_column(path, name, edit):
+    """Apply ``edit`` to a copy of one array of a saved container and
+    write it back in place; the header (and its CRC) stays as saved."""
+    blob = bytearray(path.read_bytes())
+    header_len = int.from_bytes(blob[12:20], "little")
+    header = json.loads(blob[20 : 20 + header_len].decode("utf-8"))
+    origin = (20 + header_len + 63) // 64 * 64
+    spec = header["arrays"][name]
+    dtype = np.dtype(spec["dtype"])
+    start = origin + spec["offset"]
+    stop = start + dtype.itemsize * spec["shape"][0]
+    column = np.frombuffer(bytes(blob[start:stop]), dtype=dtype).copy()
+    edit(column)
+    blob[start:stop] = column.tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def _edit_header(path, edit):
+    """Apply ``edit`` to the parsed header of a saved container and write
+    it back padded to its old length, so the data origin stays where the
+    directory says."""
+    blob = bytearray(path.read_bytes())
+    header_len = int.from_bytes(blob[12:20], "little")
+    header = json.loads(blob[20 : 20 + header_len].decode("utf-8"))
+    edit(header)
+    edited = json.dumps(header).encode("utf-8").ljust(header_len)
+    assert len(edited) == header_len
+    blob[20 : 20 + header_len] = edited
+    path.write_bytes(bytes(blob))
+
+
+class TestColumnChecks:
+    """Corrupt columns fail at load with a typed error naming file and
+    field, instead of misrouting lookups or indexing out of range."""
+
+    @pytest.fixture(params=[True, False], ids=["mmap", "read"])
+    def mmap(self, request):
+        return request.param
+
+    def _three_rules(self, tmp_path):
+        path = tmp_path / "three.rpb"
+        save_policy_binary(
+            TrainedPolicy(
+                {
+                    S0: ("REIMAGE", 7200.0),
+                    S1: ("RMA", 172800.0),
+                    RecoveryState.initial("error:Y"): ("TRYNOP", 60.0),
+                }
+            ),
+            path,
+        )
+        return path
+
+    def test_unsorted_keys_rejected(self, tmp_path, mmap):
+        path = self._three_rules(tmp_path)
+
+        def swap(keys):
+            keys[[0, 1]] = keys[[1, 0]]
+
+        _rewrite_column(path, "keys", swap)
+        with pytest.raises(PolicyFormatError, match="keys") as info:
+            load_policy_binary(path, mmap=mmap)
+        assert str(path) in str(info.value)
+        assert "row 1" in str(info.value)
+
+    def test_duplicate_keys_rejected(self, tmp_path, mmap):
+        path = self._three_rules(tmp_path)
+
+        def duplicate(keys):
+            keys[2] = keys[1]
+
+        _rewrite_column(path, "keys", duplicate)
+        with pytest.raises(PolicyFormatError, match="not strictly increasing"):
+            load_policy_binary(path, mmap=mmap)
+
+    def test_action_id_outside_vocabulary_rejected(self, tmp_path, mmap):
+        path = self._three_rules(tmp_path)
+
+        def corrupt(actions):
+            actions[2] = 3  # three decided actions: ids 0..2
+
+        _rewrite_column(path, "actions", corrupt)
+        with pytest.raises(PolicyFormatError, match="actions") as info:
+            load_policy_binary(path, mmap=mmap)
+        assert str(path) in str(info.value)
+        assert "id 3 at row 2" in str(info.value)
+
+    def test_column_shape_mismatch_rejected(self, tmp_path):
+        path = self._three_rules(tmp_path)
+
+        def shrink(header):
+            header["arrays"]["costs"]["shape"] = [2]
+
+        _edit_header(path, shrink)
+        with pytest.raises(PolicyFormatError, match="costs"):
+            load_policy_binary(path)
+
+    @pytest.mark.parametrize(
+        "name, dtype",
+        [("keys", "<f8"), ("keys", ">u8"), ("actions", "<i4"), ("costs", "<i8")],
+    )
+    def test_column_dtype_other_than_saved_rejected(
+        self, tmp_path, mmap, name, dtype
+    ):
+        """Same item size, so only the dtype check stands between the
+        header and a signed action id or a NaN key."""
+        path = self._three_rules(tmp_path)
+
+        def retype(header):
+            header["arrays"][name]["dtype"] = dtype
+
+        _edit_header(path, retype)
+        with pytest.raises(PolicyFormatError, match=f"{name}: dtype") as info:
+            load_policy_binary(path, mmap=mmap)
+        assert str(path) in str(info.value)
+
+    def test_policy_format_error_is_a_log_format_error(self, tmp_path):
+        """Handlers written for the old error type keep catching it."""
+        path = tmp_path / "bad.rpb"
+        path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
+        with pytest.raises(LogFormatError):
+            load_policy_binary(path)
+        with pytest.raises(PolicyFormatError):
+            load_policy_binary(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Tests for the decision server: lookups, fallback routing, hot reload.
 
-The race test at the bottom is the one the design stands on: concurrent
-readers hammering ``decide_batch`` while a writer publishes new policy
-generations must never observe a torn table — every batch is answered
-entirely by one generation.
+The race test at the bottom is the one the design stands on: a writer
+thread publishing new policy generations at scripted points inside
+in-flight ``decide_batch`` calls must never produce a torn table — every
+batch is answered entirely by one generation.
 """
 
+import queue
 import threading
-import time
 
 import pytest
 
@@ -15,6 +15,7 @@ from repro.actions import default_catalog
 from repro.core.online import RollingRetrainer
 from repro.errors import ConfigurationError
 from repro.mdp.state import RecoveryState
+from repro.policies.base import Policy
 from repro.policies.binary import load_policy_binary, save_policy_binary
 from repro.policies.trained import TrainedPolicy
 from repro.policies.user_defined import UserDefinedPolicy
@@ -155,55 +156,88 @@ class TestRetrainerHook:
         assert server.decide(UNKNOWN).fell_back
 
 
+class _ReadHook(Policy):
+    """``inner`` with ``hook()`` called at the start of every read.
+
+    The server reads its primary once per batch (``decide_batch``) and
+    its fallback once per degraded state (``decide``), so the hook marks
+    exact points inside an in-flight batch.
+    """
+
+    def __init__(self, inner, hook):
+        self._inner = inner
+        self._hook = hook
+
+    @property
+    def name(self):
+        return self._inner.name
+
+    def decide(self, state):
+        self._hook()
+        return self._inner.decide(state)
+
+    def decide_batch(self, states):
+        self._hook()
+        return self._inner.decide_batch(states)
+
+
 class TestHotReloadRace:
     def test_no_torn_batches_under_concurrent_publish(self, trained):
-        """Readers must never see two generations inside one batch."""
-        server = DecisionServer(
-            trained, UserDefinedPolicy(default_catalog())
-        )
-        alternates = [
-            TrainedPolicy({S0: ("REIMAGE", 7200.0)}, label="a"),
-            TrainedPolicy({S0: ("REBOOT", 60.0)}, label="b"),
-        ]
-        states = [S0, UNKNOWN, S1] * 20
-        stop = threading.Event()
-        torn = []
-        versions_seen = set()
+        """Readers must never see two generations inside one batch.
 
-        def reader():
-            while not stop.is_set():
-                decisions = server.decide_batch(states)
-                batch_versions = {d.version for d in decisions}
-                versions_seen.update(batch_versions)
-                if len(batch_versions) != 1:
-                    torn.append(batch_versions)
-                    return
+        A writer thread publishes exactly when a read hook asks it to:
+        at every read of an in-flight batch, the reading thread hands
+        the writer one publish and waits until it is deployed.  The
+        interleaving is therefore the same on every run, and every
+        batch but the last overlaps publishes.
+        """
+        requests: "queue.Queue[None]" = queue.Queue()
+        deployed: "queue.Queue[None]" = queue.Queue()
+        remaining = [300]
+
+        def hook():
+            if remaining[0]:
+                remaining[0] -= 1
+                requests.put(None)
+                deployed.get(timeout=30)
+
+        alternates = [
+            _ReadHook(TrainedPolicy({S0: ("REIMAGE", 7200.0)}, label="a"), hook),
+            _ReadHook(TrainedPolicy({S0: ("REBOOT", 60.0)}, label="b"), hook),
+        ]
+        server = DecisionServer(
+            _ReadHook(trained, hook),
+            _ReadHook(UserDefinedPolicy(default_catalog()), hook),
+        )
 
         def writer():
-            # Yield between publish bursts: 300 uncontended publishes
-            # fit inside one interpreter time slice, and a writer that
-            # finishes before any reader starts its second batch never
-            # overlaps a generation change with an in-flight batch.
             for i in range(300):
+                requests.get(timeout=30)
                 server.publish(alternates[i % 2])
-                if i % 10 == 0:
-                    time.sleep(0.002)
+                deployed.put(None)
 
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in readers:
-            thread.start()
         publisher = threading.Thread(target=writer)
         publisher.start()
-        publisher.join()
-        stop.set()
-        for thread in readers:
-            thread.join()
+        states = [S0, UNKNOWN, S1] * 20
+        torn = []
+        versions_seen = set()
+        overlapped = 0
+        while True:
+            pending = remaining[0]
+            decisions = server.decide_batch(states)
+            batch_versions = {d.version for d in decisions}
+            versions_seen.update(batch_versions)
+            if len(batch_versions) != 1:
+                torn.append(batch_versions)
+            overlapped += server.version > min(batch_versions)
+            if not pending:
+                break
+        publisher.join(timeout=30)
 
+        assert not publisher.is_alive()
         assert torn == []
-        assert len(versions_seen) > 1, (
-            "the race test never overlapped a publish with a batch; "
-            "widen the publish loop"
-        )
+        assert overlapped > 1
+        assert len(versions_seen) > 1
         assert server.version == 301
 
     def test_batch_consistent_with_its_version(self, trained):
